@@ -5,6 +5,12 @@ Implements exactly the closed set of operations the retrieval model needs
 soft cross-entropy, softplus) plus the shape plumbing to connect them.
 Backward accumulation follows the graph construction order, so repeated
 runs are bitwise deterministic.
+
+Model code is written once, in numpy operator syntax. ``Tensor`` carries
+the operators it uses, and the ops numpy has no operator for (conv2d,
+relu, softmax, both L2 normalizations) return a plain array, recording
+nothing, when no input is a Tensor. So the same forward definition builds
+the training graph on Tensors and runs on numpy alone on arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +92,10 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # Arithmetic sugar used by the model code; all shapes broadcast.
+    # The numpy operators the model code uses (see the module docstring);
+    # numpy defers every ``ndarray <op> Tensor`` to the reflected method.
+    __array_ufunc__ = None
+
     def __add__(self, other):
         return add(self, as_tensor(other))
 
@@ -110,6 +119,25 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
+    def __matmul__(self, other):
+        return matmul(self, as_tensor(other))
+
+    def __rmatmul__(self, other):
+        return matmul(as_tensor(other), self)
+
+    @property
+    def T(self):
+        return transpose(self)
+
+    def reshape(self, shape):
+        return reshape(self, shape)
+
+    def sum(self, axis=None):
+        return tensor_sum(self, axis)
+
+    def __getitem__(self, key):
+        return slice_view(self, key)
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -120,6 +148,11 @@ def as_tensor(x) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
+
+
+def _data(x) -> np.ndarray:
+    """The float64 array behind a Tensor or array-like input."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def parameter(data) -> Tensor:
@@ -268,14 +301,18 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
     return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+def relu(a):
+    data = _data(a)
+    mask = data > 0
+    out_data = data * mask
+    if not isinstance(a, Tensor):
+        return out_data
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * mask)
 
-    return Tensor(a.data * mask, _parents=(a,), _backward=backward)
+    return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -302,11 +339,14 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1):
     """Max-subtracted softmax along one axis."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    data = _data(a)
+    shifted = data - data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(a, Tensor):
+        return p
 
     def backward(g):
         if a.requires_grad:
@@ -358,26 +398,28 @@ def soft_cross_entropy(y: Tensor | np.ndarray, y_hat: np.ndarray) -> Tensor:
     return out
 
 
-def l2_normalize(v: Tensor | np.ndarray) -> Tensor:
+def l2_normalize(v):
     """Normalize a vector to exactly unit Euclidean norm; rejects near-zero input."""
-    v = as_tensor(v)
-    if v.ndim != 1:
+    data = _data(v)
+    if data.ndim != 1:
         raise ShapeError("l2_normalize expects a vector")
-    norm = float(np.sqrt((v.data * v.data).sum()))
+    norm = float(np.sqrt((data * data).sum()))
     if norm <= NORM_FLOOR:
         raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
-    out_data = v.data / norm
+    out_data = data / norm
+    if not isinstance(v, Tensor):
+        return out_data
 
     def backward(g):
         if not v.requires_grad:
             return
-        inner = (g * v.data).sum()
-        v._accumulate(g / norm - v.data * (inner / norm**3))
+        inner = (g * data).sum()
+        v._accumulate(g / norm - data * (inner / norm**3))
 
     return Tensor(out_data, _parents=(v,), _backward=backward)
 
 
-def l2_normalize_smooth(a: Tensor, axis=None, eps: float = SMOOTH_EPS) -> Tensor:
+def l2_normalize_smooth(a, axis=None, eps: float = SMOOTH_EPS):
     """L2 normalization against sqrt(norm^2 + eps^2); zero rows stay zero.
 
     ``axis=None`` treats the tensor as one flat vector, ``axis=1`` normalizes
@@ -388,62 +430,51 @@ def l2_normalize_smooth(a: Tensor, axis=None, eps: float = SMOOTH_EPS) -> Tensor
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    if axis is None:
-        s = np.sqrt((a.data * a.data).sum() + eps * eps)
-        out_data = a.data / s
-
-        def backward(g):
-            if not a.requires_grad:
-                return
-            inner = (g * a.data).sum()
-            a._accumulate(g / s - a.data * (inner / s**3))
-
-    elif axis == 1:
-        s = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + eps * eps)
-        out_data = a.data / s
-
-        def backward(g):
-            if not a.requires_grad:
-                return
-            inner = (g * a.data).sum(axis=1, keepdims=True)
-            a._accumulate(g / s - a.data * (inner / s**3))
-
-    else:
+    if axis not in (None, 1):
         raise ShapeError("l2_normalize_smooth supports axis None or 1")
+    data = _data(a)
+    keep = axis is not None
+    s = np.sqrt((data * data).sum(axis=axis, keepdims=keep) + eps * eps)
+    out_data = data / s
+    if not isinstance(a, Tensor):
+        return out_data
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        inner = (g * data).sum(axis=axis, keepdims=keep)
+        a._accumulate(g / s - data * (inner / s**3))
+
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int):
-    """Pure-array convolution forward shared by the graph op and fast paths.
+def conv2d(x, w, b, stride: int = 1, pad: int = 0):
+    """2-D convolution of a (Cin, H, W) map with (Cout, Cin, kh, kw) kernels.
 
-    Returns (output, padded_input); the fixed kernel-offset summation order
-    makes repeated evaluations bitwise identical.
+    The fixed kernel-offset summation order makes repeated evaluations
+    bitwise identical.
     """
-    cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
+    xd, wdata, bd = _data(x), _data(w), _data(b)
+    if xd.ndim != 3 or wdata.ndim != 4 or bd.ndim != 1:
+        raise ShapeError("conv2d expects x(Cin,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
+    cin, h, wd = xd.shape
+    cout, cin_w, kh, kw = wdata.shape
+    if cin != cin_w or bd.shape[0] != cout:
+        raise ShapeError(f"conv2d channel mismatch: x has {cin}, w expects {cin_w}")
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (wd + 2 * pad - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"input {h}x{wd} too small for kernel {kh}x{kw} stride {stride}")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    acc = np.repeat(b[:, None], h_out * w_out, axis=1)
+    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad))) if pad else xd
+    acc = np.repeat(bd[:, None], h_out * w_out, axis=1)
     for i in range(kh):
         for j in range(kw):
             patch = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-            acc = acc + w[:, :, i, j] @ patch.reshape(cin, -1)
-    return acc.reshape(cout, h_out, w_out), xp
-
-
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution of a (Cin, H, W) map with (Cout, Cin, kh, kw) kernels."""
-    if x.ndim != 3 or w.ndim != 4 or b.ndim != 1:
-        raise ShapeError("conv2d expects x(Cin,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
-    cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w or b.shape[0] != cout:
-        raise ShapeError(f"conv2d channel mismatch: x has {cin}, w expects {cin_w}")
-    out_data, xp = conv2d_forward(x.data, w.data, b.data, stride, pad)
-    _, h_out, w_out = out_data.shape
+            acc = acc + wdata[:, :, i, j] @ patch.reshape(cin, -1)
+    out_data = acc.reshape(cout, h_out, w_out)
+    if not any(isinstance(t, Tensor) for t in (x, w, b)):
+        return out_data
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
 
     def backward(g):
         gm = g.reshape(cout, -1)

@@ -2,9 +2,10 @@
 
 A fixed 5-tap binomial low-pass, then three 3x3 stride-2 same-padded conv
 layers (1 -> 8 -> 16 -> 16 channels, ReLU between layers) turn a grayscale
-image into a (16, H/8, W/8) feature map. The graph path builds gradients;
-the array path replays the identical arithmetic for mining and evaluation,
-where no gradients are needed.
+image into a (16, H/8, W/8) feature map. :func:`encode` is the one
+forward definition: with Tensor parameters it records the training graph,
+with array parameters (:func:`encode_array`) it returns a plain array for
+mining and evaluation, where no gradients are needed.
 
 The low-pass is anti-aliasing. The layers subsample by 8 in all, and the
 facade glyphs hold 2-pixel checkers, far above the rate they are sampled
@@ -29,13 +30,13 @@ CHANNELS = (1, 8, 16, 16)
 KERNEL = 3
 STRIDE = 2
 PAD = 1
-FEATURE_DIM = CHANNELS[-1]
 LOW_PASS = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 @dataclass
 class EncoderParams:
-    """Conv weights/biases as graph leaves, in fixed parameter order."""
+    """Conv weights/biases in fixed parameter order: graph leaves for
+    training, or plain arrays for a forward pass that records no graph."""
 
     weights: list[ag.Tensor]
     biases: list[ag.Tensor]
@@ -97,9 +98,10 @@ def _prepare(image: np.ndarray) -> np.ndarray:
     return low_pass(image)
 
 
-def encode(params: EncoderParams, image: np.ndarray) -> ag.Tensor:
-    """Graph-building forward pass; returns a (16, H/8, W/8) feature map."""
-    x = ag.constant(_prepare(image)[None, :, :])
+def encode(params: EncoderParams, image: np.ndarray):
+    """Forward pass to a (16, H/8, W/8) feature map: a graph node when the
+    parameters are Tensors, a plain array when they are arrays."""
+    x = _prepare(image)[None, :, :]
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         x = ag.conv2d(x, w, b, stride=STRIDE, pad=PAD)
@@ -109,11 +111,7 @@ def encode(params: EncoderParams, image: np.ndarray) -> ag.Tensor:
 
 
 def encode_array(params: EncoderParams, image: np.ndarray) -> np.ndarray:
-    """Gradient-free forward pass, bitwise identical to :func:`encode`."""
-    x = _prepare(image)[None, :, :]
-    n_layers = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x, _ = ag.conv2d_forward(x, w.data, b.data, STRIDE, PAD)
-        if i < n_layers - 1:
-            x = x * (x > 0)
-    return x
+    """:func:`encode` on the parameters' arrays: no graph is recorded."""
+    return encode(
+        EncoderParams([w.data for w in params.weights], [b.data for b in params.biases]), image
+    )

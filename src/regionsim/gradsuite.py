@@ -21,12 +21,6 @@ PASS_THRESHOLD = 1e-4
 EPS = 1e-5
 
 
-def _readout(out: ag.Tensor, rng: np.random.Generator) -> ag.Tensor:
-    """Fixed random linear functional so vector ops reduce to a scalar."""
-    r = rng.standard_normal(out.shape)
-    return ag.tensor_sum(ag.mul(out, ag.constant(r)))
-
-
 def check_encoder(seed: int = 0) -> float:
     """Conv stack gradients w.r.t. every kernel and bias."""
     rng = derive_rng(seed, "gradsuite", "encoder")

@@ -1,8 +1,10 @@
-"""Encoder + VLAD bundle and descriptor helpers.
+"""Encoder + VLAD bundle and the graph descriptor helpers training uses.
 
 Queries are always represented by their full-map descriptor; only gallery
 feature maps are decomposed into regions, and that asymmetry is baked into
-the helper names here rather than left to call sites.
+the helper names here rather than left to call sites. Gradient-free
+descriptors come from the same definitions on array leaves:
+``vlad.aggregate_array(m.vlad, encoder.encode_array(m.encoder, image))``.
 """
 
 from __future__ import annotations
@@ -66,13 +68,3 @@ def image_descriptor(model: Model, image: np.ndarray) -> ag.Tensor:
 def region_descriptor(model: Model, fm: ag.Tensor, region_id: int) -> ag.Tensor:
     """Descriptor of one region of an already-encoded gallery feature map."""
     return vlad.aggregate(model.vlad, region_view(fm, region_id))
-
-
-def image_descriptor_array(model: Model, image: np.ndarray) -> np.ndarray:
-    """Gradient-free full-image descriptor (bitwise equal to the graph path)."""
-    return vlad.aggregate_array(model.vlad, enc.encode_array(model.encoder, image))
-
-
-def region_descriptor_array(model: Model, fm: np.ndarray, region_id: int) -> np.ndarray:
-    """Gradient-free region descriptor from a precomputed feature map."""
-    return vlad.aggregate_array(model.vlad, region_view(fm, region_id))

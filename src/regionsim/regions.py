@@ -8,16 +8,10 @@ second [floor(n/2), n), so both always cover at least half the map.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import autograd as ag
 from .errors import ParameterError, ShapeError
 
 FULL_REGION = 0
-HALF_IDS = (1, 2, 3, 4)
-QUARTER_IDS = (5, 6, 7, 8)
 ALL_REGION_IDS = tuple(range(9))
-SUB_REGION_IDS = HALF_IDS + QUARTER_IDS
 
 
 def _halves(n: int) -> tuple[slice, slice]:
@@ -49,20 +43,14 @@ def region_slices(h: int, w: int) -> dict[int, tuple[slice, slice]]:
 def region_view(fm, region_id: int):
     """Slice a (C, H, W) feature map down to one region, without copying.
 
-    Accepts either a graph tensor (gradients scatter back into the full
-    map) or a plain array (returns a numpy view).
+    The same code serves a graph tensor (gradients scatter back into the
+    full map) and a plain array (a numpy view). Region 0 is ``fm`` itself.
     """
     if region_id not in ALL_REGION_IDS:
         raise ParameterError(f"region id must be in 0..8, got {region_id}")
-    if isinstance(fm, ag.Tensor):
-        if fm.ndim != 3:
-            raise ShapeError(f"expected (C, H, W) feature map, got shape {fm.shape}")
-        rows, cols = region_slices(fm.shape[1], fm.shape[2])[region_id]
-        if region_id == FULL_REGION:
-            return fm
-        return ag.slice_view(fm, (slice(None), rows, cols))
-    fm = np.asarray(fm)
     if fm.ndim != 3:
         raise ShapeError(f"expected (C, H, W) feature map, got shape {fm.shape}")
     rows, cols = region_slices(fm.shape[1], fm.shape[2])[region_id]
+    if region_id == FULL_REGION:
+        return fm
     return fm[:, rows, cols]

@@ -19,7 +19,6 @@ from .errors import IntegrityError, ParameterError, ShapeError
 from .regions import ALL_REGION_IDS, region_view
 from .vlad import VladParams, aggregate_array
 
-DEFAULT_LAMBDA = 0.5
 DEFAULT_TAUS = (0.07, 0.06, 0.05)
 HALVES_ONLY_IDS = (0, 1, 2, 3, 4)
 WEIGHT_SUM_TOL = 1e-6
@@ -67,28 +66,6 @@ def expected_entries(
     return tuple((int(p), int(r)) for p in positive_ids for r in region_ids)
 
 
-def image_soft_labels(
-    query_desc: np.ndarray,
-    positive_ids: Sequence[int],
-    positive_descs: np.ndarray,
-    tau: float,
-    generation: int,
-    query_id: int = -1,
-) -> SoftLabelRecord:
-    """Image-level targets: a temperature softmax over the k positive sims."""
-    if len(positive_ids) == 0:
-        raise ParameterError("need at least one positive")
-    sims = np.asarray(positive_descs) @ np.asarray(query_desc)
-    weights = ag.softmax_temp(sims, tau).data
-    return SoftLabelRecord(
-        query_id=query_id,
-        generation=generation,
-        tau=tau,
-        entries=expected_entries(positive_ids, (0,)),
-        weights=tuple(float(w) for w in weights),
-    )
-
-
 def region_soft_labels(
     query_desc: np.ndarray,
     positive_ids: Sequence[int],
@@ -99,9 +76,10 @@ def region_soft_labels(
     query_id: int = -1,
     region_ids: Sequence[int] = ALL_REGION_IDS,
 ) -> SoftLabelRecord:
-    """Region-level targets: one softmax over every (positive, region) sim.
+    """Soft targets: one softmax over every (positive, region) sim.
 
     The query is never decomposed; it enters only as a descriptor.
+    ``region_ids=(0,)`` gives image-level targets over the full positives.
     """
     if len(positive_ids) == 0:
         raise ParameterError("need at least one positive")
@@ -165,7 +143,7 @@ def soft_loss(student_sims: ag.Tensor, record: SoftLabelRecord) -> ag.Tensor:
     return ag.soft_cross_entropy(student, np.array(record.weights))
 
 
-def total_loss(hard: ag.Tensor, soft: ag.Tensor, lam: float = DEFAULT_LAMBDA) -> ag.Tensor:
+def total_loss(hard: ag.Tensor, soft: ag.Tensor, lam: float) -> ag.Tensor:
     """Combined objective: hard + lam * soft."""
     if lam < 0:
         raise ParameterError(f"loss weight must be non-negative, got {lam}")

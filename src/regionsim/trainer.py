@@ -49,7 +49,6 @@ from .supervision import (
     SoftLabelRecord,
     format_record,
     hard_loss,
-    image_soft_labels,
     region_soft_labels,
     soft_loss,
     student_region_sims,
@@ -196,11 +195,10 @@ def compute_generation_targets(
         positives.append(tuple(rows))
         if not rows or not cfg.use_soft:
             continue
-        pids = [train_g[r].id for r in rows]
-        if cfg.use_regions:
-            rec = region_soft_labels(
+        records.append(
+            region_soft_labels(
                 q_descs[qrow],
-                pids,
+                [train_g[r].id for r in rows],
                 [g_fms[r] for r in rows],
                 frozen_model.vlad,
                 tau,
@@ -208,16 +206,7 @@ def compute_generation_targets(
                 query_id=qimg.id,
                 region_ids=region_ids,
             )
-        else:
-            rec = image_soft_labels(
-                q_descs[qrow],
-                pids,
-                g_descs[list(rows)],
-                tau,
-                omega - 1,
-                query_id=qimg.id,
-            )
-        records.append(rec)
+        )
     return GenerationTargets(positives=positives, records=records)
 
 

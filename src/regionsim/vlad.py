@@ -6,6 +6,10 @@ means are intra-normalized, flattened, and globally L2-normalized, yielding
 a K*D descriptor whose dot products measure view similarity. Centers are the
 only parameters; the projection (2*alpha*c_k) and bias (-alpha*|c_k|^2) are
 derived from them inside the graph so gradients reach the centers.
+
+:func:`aggregate` is written once in numpy operator syntax. Given Tensors it
+records the training graph; given arrays the same lines run on numpy alone,
+which is how mining, labels and evaluation call it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .errors import DegenerateInputError, InitError, ParameterError, ShapeError
+from .errors import InitError, ParameterError, ShapeError
 from .seeding import derive_rng
 
 DEFAULT_K = 8
@@ -28,7 +32,7 @@ KMEANS_ITERS = 25
 
 @dataclass
 class VladParams:
-    centers: ag.Tensor  # (K, D)
+    centers: ag.Tensor  # (K, D); a plain array yields array descriptors
     alpha: float = DEFAULT_ALPHA
 
     @property
@@ -69,12 +73,14 @@ def init_centers(features: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def aggregate(params: VladParams, fm: ag.Tensor) -> ag.Tensor:
-    """Graph-building aggregation of a (D, H, W) feature map to a descriptor.
+def aggregate(params: VladParams, fm):
+    """Aggregate a (D, H, W) feature map to a unit K*D descriptor.
 
-    Residual rows are averaged over spatial positions rather than summed, so
-    their scale does not depend on how many columns a (sub-)map has and the
-    smooth intra-normalization treats full maps and small regions alike.
+    A graph node when the map or the centers are Tensors, a plain array when
+    both are arrays. Residual rows are averaged over spatial positions
+    rather than summed, so their scale does not depend on how many columns
+    a (sub-)map has and the smooth intra-normalization treats full maps and
+    small regions alike.
     """
     if fm.ndim != 3:
         raise ShapeError(f"expected (D, H, W) feature map, got shape {fm.shape}")
@@ -84,45 +90,18 @@ def aggregate(params: VladParams, fm: ag.Tensor) -> ag.Tensor:
     k = params.k
     n = fm.shape[1] * fm.shape[2]
     c = params.centers
-    x = ag.transpose(ag.reshape(fm, (d, n)))  # (N, D)
-    proj = ag.scale(c, 2.0 * params.alpha)
-    bias = ag.scale(ag.tensor_sum(ag.mul(c, c), axis=1), -params.alpha)
-    scores = ag.add(ag.matmul(x, ag.transpose(proj)), bias)  # (N, K)
+    x = fm.reshape((d, n)).T  # (N, D)
+    proj = c * (2.0 * params.alpha)
+    bias = (c * c).sum(axis=1) * -params.alpha
+    scores = x @ proj.T + bias  # (N, K)
     assign = ag.softmax(scores, axis=1)
-    weighted = ag.matmul(ag.transpose(assign), x)  # (K, D)
-    mass = ag.reshape(ag.tensor_sum(assign, axis=0), (k, 1))
-    residuals = ag.scale(ag.sub(weighted, ag.mul(mass, c)), 1.0 / n)
+    weighted = assign.T @ x  # (K, D)
+    mass = assign.sum(axis=0).reshape((k, 1))
+    residuals = (weighted - mass * c) * (1.0 / n)
     intra = ag.l2_normalize_smooth(residuals, axis=1)
-    flat = ag.reshape(intra, (k * d,))
-    return ag.l2_normalize(flat)
+    return ag.l2_normalize(intra.reshape((k * d,)))
 
 
 def aggregate_array(params: VladParams, fm: np.ndarray) -> np.ndarray:
-    """Gradient-free aggregation, bitwise identical to :func:`aggregate`."""
-    fm = np.asarray(fm, dtype=np.float64)
-    if fm.ndim != 3:
-        raise ShapeError(f"expected (D, H, W) feature map, got shape {fm.shape}")
-    c = params.centers.data
-    k, d = c.shape
-    if fm.shape[0] != d:
-        raise ShapeError(f"feature dim {fm.shape[0]} does not match centers dim {d}")
-    n = fm.shape[1] * fm.shape[2]
-    x = fm.reshape(d, -1).T
-    proj = c * (2.0 * params.alpha)
-    bias = (c * c).sum(axis=1) * -params.alpha
-    scores = x @ proj.T + bias
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    assign = e / e.sum(axis=1, keepdims=True)
-    weighted = assign.T @ x
-    mass = assign.sum(axis=0).reshape(k, 1)
-    residuals = (weighted - mass * c) * (1.0 / n)
-    s = np.sqrt(
-        (residuals * residuals).sum(axis=1, keepdims=True) + ag.SMOOTH_EPS * ag.SMOOTH_EPS
-    )
-    intra = residuals / s
-    flat = intra.reshape(k * d)
-    total = float(np.sqrt((flat * flat).sum()))
-    if total <= ag.NORM_FLOOR:
-        raise DegenerateInputError("aggregated descriptor has near-zero norm")
-    return flat / total
+    """:func:`aggregate` on array leaves: no graph is recorded."""
+    return aggregate(VladParams(params.centers.data, params.alpha), np.asarray(fm, np.float64))

@@ -1,0 +1,27 @@
+"""Print the acceptance criterion lines at the end of every test run.
+
+pytest's default capture holds a passing test's output back, so without
+this hook a plain run shows only the criteria that fail. The summary takes
+each ``criterion N (...)`` line from the acceptance tests' captured stdout
+once, in criterion order. Under ``-s`` nothing is captured and the lines
+have already been printed, so the summary stays empty.
+"""
+
+import re
+
+CRITERION_LINE = re.compile(r"^criterion (\d+) \(")
+
+
+def pytest_terminal_summary(terminalreporter):
+    lines = {}
+    for reports in terminalreporter.stats.values():
+        for rep in reports:
+            if not getattr(rep, "nodeid", "").startswith("tests/test_acceptance.py"):
+                continue
+            for line in getattr(rep, "capstdout", "").splitlines():
+                if CRITERION_LINE.match(line):
+                    lines.setdefault(line, int(CRITERION_LINE.match(line).group(1)))
+    if lines:
+        terminalreporter.write_sep("-", "acceptance criteria")
+        for line in sorted(lines, key=lines.get):
+            terminalreporter.write_line(line)

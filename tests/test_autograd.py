@@ -130,7 +130,7 @@ class TestSoftCrossEntropy:
 class TestL2Normalize:
     def test_frozen_example(self):
         np.testing.assert_allclose(
-            ag.l2_normalize(np.array([3.0, 4.0])).data, [0.6, 0.8], atol=1e-12
+            ag.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-12
         )
 
     def test_unit_norm_property(self):
@@ -139,7 +139,7 @@ class TestL2Normalize:
             v = rng.normal(size=int(rng.integers(1, 40)))
             if np.linalg.norm(v) <= 1e-12:
                 continue
-            out = ag.l2_normalize(v).data
+            out = ag.l2_normalize(v)
             np.testing.assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
 
     def test_rejects_near_zero_vector(self):
@@ -403,3 +403,93 @@ class TestGradCheckGuards:
         x = ag.parameter(np.array([1.0, 2.0]))
         with pytest.raises(ShapeError):
             ag.mul(x, x).backward()
+
+
+class TestArrayInputs:
+    """Ops without a numpy operator return a plain array, with the Tensor
+    path's exact bits, when no input is a Tensor."""
+
+    def check(self, op, *arrays, **kwargs):
+        got = op(*arrays, **kwargs)
+        want = op(*[ag.constant(a) for a in arrays], **kwargs)
+        assert isinstance(got, np.ndarray) and isinstance(want, ag.Tensor)
+        assert np.array_equal(got, want.data)
+
+    def test_conv2d(self):
+        rng = np.random.default_rng(71)
+        x, w, b = rng.normal(size=(2, 7, 9)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        for stride, pad in [(1, 0), (2, 1)]:
+            self.check(ag.conv2d, x, w, b, stride=stride, pad=pad)
+
+    def test_relu_and_softmax(self):
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(5, 4))
+        self.check(ag.relu, x)
+        self.check(ag.softmax, x, axis=1)
+        self.check(ag.softmax, x, axis=0)
+
+    def test_normalizations(self):
+        rng = np.random.default_rng(79)
+        self.check(ag.l2_normalize, rng.normal(size=7))
+        x = rng.normal(size=(4, 6))
+        x[2] = 0.0
+        self.check(ag.l2_normalize_smooth, x, axis=1)
+        self.check(ag.l2_normalize_smooth, x)
+
+    def test_mixed_inputs_record_a_node(self):
+        rng = np.random.default_rng(83)
+        x = rng.normal(size=(2, 6, 6))
+        w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
+        out = ag.conv2d(x, w, np.zeros(3), stride=2, pad=1)
+        assert isinstance(out, ag.Tensor) and out.requires_grad
+
+
+class TestOperators:
+    """The numpy operator subset on Tensors builds the same graph as the
+    named ops, so gradients check through it."""
+
+    TOL = 1e-4
+
+    def test_operators_return_tensors(self):
+        rng = np.random.default_rng(89)
+        m = ag.parameter(rng.normal(size=(3, 4)))
+        arr = rng.normal(size=(3, 4))
+        outs = [m @ arr.T, arr.T @ m, m.T, m.reshape((4, 3)), m.sum(axis=0), m[1:, :2]]
+        outs += [arr + m, arr - m, arr * m]
+        assert all(isinstance(out, ag.Tensor) for out in outs)
+        assert np.array_equal((arr @ m.T).data, arr @ m.data.T)
+        assert np.array_equal((arr - m).data, arr - m.data)
+
+    def test_matmul_and_transpose(self):
+        rng = np.random.default_rng(97)
+        m = ag.parameter(rng.normal(size=(3, 5)))
+        n = ag.parameter(rng.normal(size=(3, 5)))
+        v = rng.normal(size=5)
+        left = rng.normal(size=(2, 5))
+
+        def fn():
+            return (m @ n.T).sum() + (m @ v).sum() + (left @ m.T).sum()
+
+        assert ag.grad_check(fn, [m, n]) <= self.TOL
+
+    def test_reshape_sum_and_slicing(self):
+        rng = np.random.default_rng(101)
+        x = ag.parameter(rng.normal(size=(2, 3, 4)))
+        wts = rng.normal(size=(3, 2))
+
+        def fn():
+            cols = x.reshape((6, 4)).sum(axis=1).reshape((3, 2))
+            return (cols * wts).sum() + (x[:, 1:, ::2] * x[:, 1:, ::2]).sum()
+
+        assert ag.grad_check(fn, [x]) <= self.TOL
+
+    def test_array_on_the_left_defers_to_tensor(self):
+        rng = np.random.default_rng(103)
+        x = ag.parameter(rng.normal(size=(3, 4)))
+        arr = rng.normal(size=(3, 4))
+
+        def fn():
+            return ((arr + x) * (arr - x)).sum() + (arr * x).sum()
+
+        assert isinstance(arr + x, ag.Tensor)
+        assert ag.grad_check(fn, [x]) <= self.TOL

@@ -8,6 +8,9 @@ from regionsim.errors import ConfigError
 
 
 class TestRunConfigCreate:
+    def test_default_lambda_half(self):
+        assert RunConfig().lam == 0.5
+
     def test_default_schedule_is_annealed(self):
         cfg = RunConfig.create()
         assert cfg.generations == 4

@@ -43,16 +43,20 @@ class TestLowPass:
         assert np.ptp(out) <= 0.25 * np.ptp(rr)
 
     def test_one_pixel_shift_keeps_descriptors_close(self):
-        from regionsim.model import image_descriptor_array, init_model
+        from regionsim.model import init_model
         from regionsim.synthcity import World, WorldSpec, render_view
+        from regionsim.vlad import aggregate_array
 
         world = World(WorldSpec())
         xs = np.random.default_rng(0).uniform(20.0, 380.0, size=20)
         views = [render_view(world, x, h) for x in xs for h in (1, -1)]
         model = init_model(0, views[:8])
+
+        def desc(img):
+            return aggregate_array(model.vlad, enc.encode_array(model.encoder, img))
+
         sims = [
-            image_descriptor_array(model, render_view(world, x, h))
-            @ image_descriptor_array(model, render_view(world, x + 1 / 8, h))
+            desc(render_view(world, x, h)) @ desc(render_view(world, x + 1 / 8, h))
             for x in xs
             for h in (1, -1)
         ]

@@ -3,7 +3,10 @@
 import numpy as np
 
 from regionsim import autograd as ag
+from regionsim import encoder as enc
 from regionsim import model as mdl
+from regionsim import vlad
+from regionsim.regions import region_view
 
 
 def sample_images(seed, n=4, shape=(16, 24)):
@@ -42,28 +45,22 @@ class TestDescriptors:
         m = mdl.init_model(4, sample_images(4))
         for img in sample_images(5, n=3):
             graph = mdl.image_descriptor(m, img).data
-            assert np.array_equal(graph, mdl.image_descriptor_array(m, img))
+            array = vlad.aggregate_array(m.vlad, enc.encode_array(m.encoder, img))
+            assert np.array_equal(graph, array)
 
     def test_region_paths_match_bitwise(self):
-        from regionsim import encoder as enc
-
         m = mdl.init_model(6, sample_images(6))
         img = sample_images(7, n=1, shape=(32, 96))[0]
         fm_t = enc.encode(m.encoder, img)
         fm_a = enc.encode_array(m.encoder, img)
         for rid in range(9):
             graph = mdl.region_descriptor(m, fm_t, rid).data
-            assert np.array_equal(graph, mdl.region_descriptor_array(m, fm_a, rid))
+            assert np.array_equal(graph, vlad.aggregate_array(m.vlad, region_view(fm_a, rid)))
 
     def test_region_view_equals_copy_descriptor(self):
-        from regionsim import encoder as enc
-        from regionsim.regions import region_view
-
         m = mdl.init_model(8, sample_images(8))
         fm = enc.encode_array(m.encoder, sample_images(9, n=1, shape=(32, 96))[0])
         for rid in range(9):
-            from regionsim import vlad
-
             via_view = vlad.aggregate_array(m.vlad, region_view(fm, rid))
             via_copy = vlad.aggregate_array(m.vlad, np.ascontiguousarray(region_view(fm, rid)))
             assert np.array_equal(via_view, via_copy)

@@ -25,33 +25,55 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def unit_center_params(d):
+    # One center at the origin over 1x1 maps: a map holding x aggregates to
+    # x / |x|, so the frozen examples can fix their descriptors.
+    return vlad.VladParams(centers=ag.parameter(np.zeros((1, d))))
+
+
+def one_pixel_maps(descs):
+    return [np.asarray(v, dtype=np.float64)[:, None, None] for v in descs]
+
+
 class TestImageSoftLabels:
+    """Image-level labels: ``region_soft_labels`` on the full map only."""
+
     def test_frozen_two_positive_example(self):
         q = np.array([1.0, 0.0])
-        descs = np.array([[0.9, 0.1], [0.7, 0.2]])
-        rec = sup.image_soft_labels(q, [4, 9], descs, tau=0.07, generation=1, query_id=2)
+        fms = one_pixel_maps([[0.9, np.sqrt(1 - 0.81)], [0.7, np.sqrt(1 - 0.49)]])
+        params = unit_center_params(2)
+        rec = sup.region_soft_labels(
+            q, [4, 9], fms, params, tau=0.07, generation=1, query_id=2, region_ids=(0,)
+        )
         np.testing.assert_allclose(np.round(rec.weights, 4), [0.9457, 0.0543])
         assert rec.entries == ((4, 0), (9, 0))
         assert rec.generation == 1 and rec.tau == 0.07
 
     def test_equal_sims_give_uniform(self):
         q = np.array([1.0, 0.0])
-        descs = np.tile([0.5, 0.3], (4, 1))
-        rec = sup.image_soft_labels(q, [0, 1, 2, 3], descs, 0.07, 1)
+        fms = one_pixel_maps([[0.5, 0.3]] * 4)
+        rec = sup.region_soft_labels(
+            q, [0, 1, 2, 3], fms, unit_center_params(2), 0.07, 1, region_ids=(0,)
+        )
         np.testing.assert_allclose(rec.weights, [0.25] * 4, atol=1e-12)
 
     def test_single_positive_gets_full_weight(self):
-        rec = sup.image_soft_labels(np.ones(3), [7], np.ones((1, 3)), 0.05, 2)
+        q = np.ones(3) / np.sqrt(3.0)
+        fms = one_pixel_maps([np.ones(3)])
+        rec = sup.region_soft_labels(q, [7], fms, unit_center_params(3), 0.05, 2, region_ids=(0,))
         np.testing.assert_allclose(rec.weights, [1.0])
+        assert rec.entries == ((7, 0),)
 
     def test_weights_always_sum_to_one(self):
         rng = np.random.default_rng(201)
+        params = vlad.VladParams(centers=ag.parameter(rng.normal(size=(4, 3))), alpha=2.0)
         for _ in range(50):
             k = int(rng.integers(1, 12))
-            descs = unit_rows(rng, k, 8)
-            q = unit_rows(rng, 1, 8)[0]
-            rec = sup.image_soft_labels(q, list(range(k)), descs, 0.06, 2)
+            fms = [rng.normal(size=(3, 2, 4)) for _ in range(k)]
+            q = unit_rows(rng, 1, 12)[0]
+            rec = sup.region_soft_labels(q, list(range(k)), fms, params, 0.06, 2, region_ids=(0,))
             assert abs(sum(rec.weights) - 1.0) <= 1e-6
+            assert rec.entries == tuple((i, 0) for i in range(k))
 
 
 class TestRegionSoftLabels:
@@ -254,9 +276,6 @@ class TestTotalLoss:
         s = ag.constant(1.3863)
         np.testing.assert_allclose(sup.total_loss(h, s, 0.5).item(), 7.62465, atol=1e-12)
         np.testing.assert_allclose(sup.total_loss(h, s, 0.5).item(), 7.6247, atol=1e-4)
-
-    def test_default_lambda_half(self):
-        assert sup.DEFAULT_LAMBDA == 0.5
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ParameterError):

@@ -132,10 +132,12 @@ class TestEncodeImages:
         model = init_model(1, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = small_ds.split("train-gallery")[:6]
         _, descs = trainer.encode_images(model, images, workers=3)
-        from regionsim.model import image_descriptor_array
+        from regionsim.encoder import encode_array
+        from regionsim.vlad import aggregate_array
 
         for i, img in enumerate(images):
-            np.testing.assert_array_equal(descs[i], image_descriptor_array(model, img.pixels))
+            expect = aggregate_array(model.vlad, encode_array(model.encoder, img.pixels))
+            np.testing.assert_array_equal(descs[i], expect)
 
 
 class TestGenerationTargets:
