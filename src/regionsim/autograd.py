@@ -399,13 +399,13 @@ def soft_cross_entropy(y: Tensor | np.ndarray, y_hat: np.ndarray) -> Tensor:
 
 
 def l2_normalize(v):
-    """Normalize a vector to exactly unit Euclidean norm; rejects near-zero input."""
+    """Unit-normalize a vector, or each row of a matrix; rejects near-zero input."""
     data = _data(v)
-    if data.ndim != 1:
-        raise ShapeError("l2_normalize expects a vector")
-    norm = float(np.sqrt((data * data).sum()))
-    if norm <= NORM_FLOOR:
-        raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
+    if data.ndim not in (1, 2):
+        raise ShapeError("l2_normalize expects a vector or a matrix of rows")
+    norm = np.sqrt((data * data).sum(axis=-1, keepdims=True))
+    if norm.min() <= NORM_FLOOR:
+        raise DegenerateInputError(f"cannot normalize vector with norm {norm.min():.3e}")
     out_data = data / norm
     if not isinstance(v, Tensor):
         return out_data
@@ -413,7 +413,7 @@ def l2_normalize(v):
     def backward(g):
         if not v.requires_grad:
             return
-        inner = (g * data).sum()
+        inner = (g * data).sum(axis=-1, keepdims=True)
         v._accumulate(g / norm - data * (inner / norm**3))
 
     return Tensor(out_data, _parents=(v,), _backward=backward)

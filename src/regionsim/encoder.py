@@ -113,5 +113,6 @@ def encode(params: EncoderParams, image: np.ndarray):
 def encode_array(params: EncoderParams, image: np.ndarray) -> np.ndarray:
     """:func:`encode` on the parameters' arrays: no graph is recorded."""
     return encode(
-        EncoderParams([w.data for w in params.weights], [b.data for b in params.biases]), image
+        EncoderParams([ag._data(w) for w in params.weights], [ag._data(b) for b in params.biases]),
+        image,
     )

@@ -61,20 +61,9 @@ def fit_whitening(descriptors: np.ndarray, out_dim: int) -> WhiteningModel:
     return WhiteningModel(mean=mean, projection=projection, eigenvalues=lead_vals)
 
 
-def apply_whitening(model: WhiteningModel, descriptor: np.ndarray) -> np.ndarray:
-    """Project one descriptor and re-normalize; zero projections are errors."""
-    d = np.asarray(descriptor, dtype=np.float64)
-    if d.shape != (model.in_dim,):
-        raise ShapeError(f"descriptor shape {d.shape} does not match dim {model.in_dim}")
-    z = model.projection @ (d - model.mean)
-    norm = float(np.sqrt((z * z).sum()))
-    if norm <= 1e-12:
-        raise DegenerateInputError("whitened descriptor has near-zero norm")
-    return z / norm
-
-
 def apply_whitening_batch(model: WhiteningModel, descriptors: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`apply_whitening` with one matrix product."""
+    """Project each descriptor row and re-normalize it; zero projections are
+    errors."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ShapeError(f"expected (N, {model.in_dim}) descriptors, got {x.shape}")

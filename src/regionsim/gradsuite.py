@@ -13,9 +13,10 @@ import numpy as np
 
 from . import autograd as ag
 from . import encoder as enc
+from . import supervision as sup
 from . import vlad
+from .regions import ALL_REGION_IDS
 from .seeding import derive_rng
-from .supervision import SoftLabelRecord, expected_entries, hard_loss, soft_loss, total_loss
 
 PASS_THRESHOLD = 1e-4
 EPS = 1e-5
@@ -34,18 +35,32 @@ def check_encoder(seed: int = 0) -> float:
     return ag.grad_check(fn, params.tensors(), eps=EPS)
 
 
-def check_vlad_aggregate(seed: int = 0) -> float:
-    """Aggregation gradients w.r.t. the centers and the input feature map."""
-    rng = derive_rng(seed, "gradsuite", "vlad")
+def _check_vlad(rng: np.random.Generator, fm_hw, readout_shape, describe) -> float:
+    """Gradients of ``describe(params, fm)``, read out by a fixed random
+    linear map, w.r.t. the centers and the input feature map."""
     centers = ag.parameter(rng.standard_normal((4, 6)))
     params = vlad.VladParams(centers=centers)
-    fm = ag.parameter(rng.standard_normal((6, 2, 3)) * 0.5)
-    r = rng.standard_normal(4 * 6)
+    fm = ag.parameter(rng.standard_normal((6, *fm_hw)) * 0.5)
+    r = rng.standard_normal(readout_shape)
 
     def fn():
-        return ag.tensor_sum(ag.mul(vlad.aggregate(params, fm), ag.constant(r)))
+        return ag.tensor_sum(ag.mul(describe(params, fm), ag.constant(r)))
 
     return ag.grad_check(fn, [centers, fm], eps=EPS)
+
+
+def check_vlad_aggregate(seed: int = 0) -> float:
+    """Whole-map aggregation."""
+    return _check_vlad(derive_rng(seed, "gradsuite", "vlad"), (2, 3), 4 * 6, vlad.aggregate)
+
+
+def check_vlad_regions(seed: int = 0) -> float:
+    """All nine region rows of an odd-sized map, whose halves share the
+    middle row and column."""
+    rng = derive_rng(seed, "gradsuite", "vlad-regions")
+    return _check_vlad(
+        rng, (3, 5), (9, 4 * 6), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS)
+    )
 
 
 def check_softmax_temp(seed: int = 0) -> float:
@@ -80,7 +95,7 @@ def check_hard_loss(seed: int = 0) -> float:
     negs = [ag.parameter(rng.standard_normal(10)) for _ in range(3)]
 
     def fn():
-        return hard_loss(q, p, negs)
+        return sup.hard_loss(q, p, negs)
 
     return ag.grad_check(fn, [q, p] + negs, eps=EPS)
 
@@ -94,26 +109,20 @@ def check_total_loss(seed: int = 0) -> float:
     negs = [ag.parameter(rng.standard_normal(dim)) for _ in range(3)]
     weights = rng.uniform(0.1, 1.0, size=2 * 9)
     weights /= weights.sum()
-    record = SoftLabelRecord(
+    record = sup.SoftLabelRecord(
         query_id=0,
         generation=1,
         tau=0.07,
-        entries=expected_entries([0, 1], range(9)),
+        entries=sup.expected_entries([0, 1], range(9)),
         weights=tuple(weights),
     )
-    # Stand-in region descriptors: fixed rotations of each positive leaf so
-    # every soft entry differs while gradients still reach the leaves.
-    rots = [np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(9)]
+    # Stand-in region matrices: nine fixed rotations of each positive leaf,
+    # so every soft entry differs while gradients still reach the leaves.
+    rots = np.concatenate([np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(9)])
 
     def fn():
-        sims = []
-        for p in pos:
-            col = ag.reshape(p, (dim, 1))
-            for rot in rots:
-                rotated = ag.reshape(ag.matmul(ag.constant(rot), col), (dim,))
-                sims.append(ag.reshape(ag.dot(q, rotated), (1,)))
-        student = ag.reshape(ag.stack_rows(sims), (len(sims),))
-        return total_loss(hard_loss(q, pos[0], negs), soft_loss(student, record), 0.5)
+        sims = sup.student_region_sims(q, record, lambda g: (rots @ pos[g]).reshape((9, dim)))
+        return sup.total_loss(sup.hard_loss(q, pos[0], negs), sup.soft_loss(sims, record), 0.5)
 
     return ag.grad_check(fn, [q] + pos + negs, eps=EPS)
 
@@ -121,6 +130,7 @@ def check_total_loss(seed: int = 0) -> float:
 ALL_CHECKS = (
     ("encoder", check_encoder),
     ("vlad_aggregate", check_vlad_aggregate),
+    ("vlad_regions", check_vlad_regions),
     ("softmax_temp", check_softmax_temp),
     ("soft_cross_entropy", check_soft_cross_entropy),
     ("hard_loss", check_hard_loss),

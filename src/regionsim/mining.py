@@ -8,37 +8,17 @@ lowest-id tie-break is the lowest row index everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import vlad as vlad_mod
 from .errors import ParameterError, ShapeError
-from .regions import ALL_REGION_IDS, region_view
+from .regions import ALL_REGION_IDS
 
 POSITIVE_RADIUS_M = 10.0
 NEGATIVE_RADIUS_M = 25.0
 NEGATIVE_POOL_SIZE = 1000
-
-
-@dataclass(frozen=True)
-class TrainingTuple:
-    """One training unit: query, easiest positive, ranked difficult
-    positives, and negatives with their mined hardest region ids.
-
-    The easiest positive is the hard-loss positive. In generation 1 it is
-    the most similar gallery item within 10 m and there are no difficult
-    positives. From generation 2 on the difficult positives are the gallery
-    items within 10 m ranked by the frozen teacher, at most k and fewer when
-    fewer candidates exist, and the easiest positive is the first of them.
-    """
-
-    query_id: int
-    easiest_positive: int
-    difficult_positives: tuple[int, ...]
-    negatives: tuple[int, ...]
-    negative_regions: tuple[int, ...]
 
 
 def difficult_positives(
@@ -176,37 +156,9 @@ def hardest_negative_region(
     """Region of the negative most similar to the query, by exhaustive scan.
 
     Scores the full map (id 0) and all eight sub-regions with the current
-    parameters; ties go to the lowest region id. ``region_ids`` narrows the
-    scan for the halves-only ablation.
+    parameters in one aggregation; ties go to the first listed, lowest
+    region id. ``region_ids`` narrows the scan for the halves-only ablation.
     """
-    best_rid = 0
-    best_sim = -np.inf
-    best_desc = None
-    for rid in region_ids:
-        desc = vlad_mod.aggregate_array(params, region_view(negative_fm, rid))
-        sim = float(desc @ query_desc)
-        if sim > best_sim:
-            best_rid, best_sim, best_desc = rid, sim, desc
-    return best_rid, best_desc
-
-
-def tuple_respects_geography(
-    t: TrainingTuple,
-    query_pos: float,
-    gallery_pos: np.ndarray,
-    generation: int,
-) -> bool:
-    """Recheck the 10 m / 25 m rules against raw reported coordinates.
-
-    In every generation the hard-loss positive lies within 10 m. From
-    generation 2 on it is also the first difficult positive, and every
-    difficult positive lies within 10 m. Every negative lies beyond 25 m.
-    """
-    if abs(gallery_pos[t.easiest_positive] - query_pos) > POSITIVE_RADIUS_M:
-        return False
-    if generation >= 2:
-        if not t.difficult_positives or t.easiest_positive != t.difficult_positives[0]:
-            return False
-        if any(abs(gallery_pos[p] - query_pos) > POSITIVE_RADIUS_M for p in t.difficult_positives):
-            return False
-    return all(abs(gallery_pos[n] - query_pos) > NEGATIVE_RADIUS_M for n in t.negatives)
+    regions = vlad_mod.aggregate_regions(params.as_arrays(), negative_fm, region_ids)
+    best = int(np.argmax(regions @ query_desc))
+    return int(region_ids[best]), regions[best]

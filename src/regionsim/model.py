@@ -1,9 +1,9 @@
-"""Encoder + VLAD bundle and the graph descriptor helpers training uses.
+"""Encoder + VLAD bundle and the full-image graph descriptor training uses.
 
-Queries are always represented by their full-map descriptor; only gallery
-feature maps are decomposed into regions, and that asymmetry is baked into
-the helper names here rather than left to call sites. Gradient-free
-descriptors come from the same definitions on array leaves:
+Queries are always represented by their full-map descriptor
+(:func:`image_descriptor`); only gallery feature maps are decomposed into
+regions, all of a map's regions at once by ``vlad.aggregate_regions``.
+Gradient-free descriptors come from the same definitions on array leaves:
 ``vlad.aggregate_array(m.vlad, encoder.encode_array(m.encoder, image))``.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from . import autograd as ag
 from . import encoder as enc
 from . import vlad
-from .regions import region_view
 
 
 @dataclass
@@ -64,7 +63,3 @@ def image_descriptor(model: Model, image: np.ndarray) -> ag.Tensor:
     """Full-image descriptor with gradients."""
     return vlad.aggregate(model.vlad, enc.encode(model.encoder, image))
 
-
-def region_descriptor(model: Model, fm: ag.Tensor, region_id: int) -> ag.Tensor:
-    """Descriptor of one region of an already-encoded gallery feature map."""
-    return vlad.aggregate(model.vlad, region_view(fm, region_id))

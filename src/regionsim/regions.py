@@ -4,9 +4,16 @@ Region ids: 0 full map, 1 left, 2 right, 3 top, 4 bottom, 5 top-left,
 6 top-right, 7 bottom-left, 8 bottom-right. For odd extents the two halves
 share the middle row/column: the first half takes [0, ceil(n/2)) and the
 second [floor(n/2), n), so both always cover at least half the map.
+
+A region is a 0/1 mask over the map's positions, so the regions of a map
+share one soft assignment (see :func:`vlad.aggregate_regions`).
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 from .errors import ParameterError, ShapeError
 
@@ -40,17 +47,16 @@ def region_slices(h: int, w: int) -> dict[int, tuple[slice, slice]]:
     }
 
 
-def region_view(fm, region_id: int):
-    """Slice a (C, H, W) feature map down to one region, without copying.
-
-    The same code serves a graph tensor (gradients scatter back into the
-    full map) and a plain array (a numpy view). Region 0 is ``fm`` itself.
-    """
-    if region_id not in ALL_REGION_IDS:
-        raise ParameterError(f"region id must be in 0..8, got {region_id}")
-    if fm.ndim != 3:
-        raise ShapeError(f"expected (C, H, W) feature map, got shape {fm.shape}")
-    rows, cols = region_slices(fm.shape[1], fm.shape[2])[region_id]
-    if region_id == FULL_REGION:
-        return fm
-    return fm[:, rows, cols]
+@functools.lru_cache(maxsize=64)
+def region_mask(h: int, w: int, region_ids: tuple[int, ...]) -> np.ndarray:
+    """(h*w, R, 1) 0/1 mask: entry [n, r] is 1 where row-major position n
+    lies in region ``region_ids[r]``. Cached and read-only, since every
+    caller shares it."""
+    if not region_ids or any(r not in ALL_REGION_IDS for r in region_ids):
+        raise ParameterError(f"region ids must be a non-empty subset of 0..8, got {region_ids}")
+    slices = region_slices(h, w)
+    mask = np.zeros((h, w, len(region_ids), 1))
+    for r, rid in enumerate(region_ids):
+        mask[(*slices[rid], r)] = 1.0
+    mask.flags.writeable = False
+    return mask.reshape(h * w, len(region_ids), 1)

@@ -3,7 +3,9 @@
 A frozen previous-generation model scores each query against its difficult
 positives (optionally decomposed into regions); a sharp softmax over those
 scores becomes the immutable training target for the next generation. The
-student is always scored at temperature 1. The hard loss is the pairwise
+student is always scored at temperature 1. Teacher and student alike score
+a positive's regions as one matrix-vector product against its (R, K*D)
+region matrix from ``vlad.aggregate_regions``. The hard loss is the pairwise
 softmax ranking loss in its numerically stable softplus form.
 """
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import IntegrityError, ParameterError, ShapeError
-from .regions import ALL_REGION_IDS, region_view
-from .vlad import VladParams, aggregate_array
+from .regions import ALL_REGION_IDS
+from .vlad import VladParams, aggregate_regions
 
 DEFAULT_TAUS = (0.07, 0.06, 0.05)
 HALVES_ONLY_IDS = (0, 1, 2, 3, 4)
@@ -85,12 +87,9 @@ def region_soft_labels(
         raise ParameterError("need at least one positive")
     if len(positive_ids) != len(positive_fms):
         raise ShapeError("one feature map per positive id is required")
-    sims = []
-    for fm in positive_fms:
-        for rid in region_ids:
-            desc = aggregate_array(params, region_view(fm, rid))
-            sims.append(float(desc @ query_desc))
-    weights = ag.softmax_temp(np.array(sims), tau).data
+    params = params.as_arrays()
+    sims = [aggregate_regions(params, fm, region_ids) @ query_desc for fm in positive_fms]
+    weights = ag.softmax_temp(np.concatenate(sims), tau).data
     return SoftLabelRecord(
         query_id=query_id,
         generation=generation,
@@ -195,13 +194,14 @@ def read_label_file(path) -> list[SoftLabelRecord]:
 def student_region_sims(
     query_desc: ag.Tensor,
     record: SoftLabelRecord,
-    descriptor_fn: Callable[[int, int], ag.Tensor],
+    regions_fn: Callable[[int], ag.Tensor],
 ) -> ag.Tensor:
-    """Stack the student's similarity for every record entry, in order.
+    """The student's similarity for every record entry, in order.
 
-    ``descriptor_fn(gallery_id, region_id)`` returns the student-side
-    descriptor tensor; gradients flow through both it and the query.
+    ``regions_fn(gallery_id)`` returns the student-side (R, K*D) region
+    matrix of that positive, one row per region of the record in entry
+    order; gradients flow through it and the query.
     """
-    sims = [ag.dot(query_desc, descriptor_fn(gid, rid)) for gid, rid in record.entries]
-    stacked = ag.stack_rows([ag.reshape(s, (1,)) for s in sims])
-    return ag.reshape(stacked, (len(sims),))
+    positive_ids = dict.fromkeys(gid for gid, _ in record.entries)
+    sims = [regions_fn(gid) @ query_desc for gid in positive_ids]
+    return ag.stack_rows(sims).reshape((-1,))

@@ -18,6 +18,7 @@ naive top-k ablation mines over the whole gallery.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,8 +42,8 @@ from .mining import (
     plain_top_k,
     sample_negatives,
 )
-from .model import Model, image_descriptor, init_model, region_descriptor
-from .regions import ALL_REGION_IDS
+from .model import Model, image_descriptor, init_model
+from .regions import ALL_REGION_IDS, FULL_REGION
 from .seeding import derive_rng
 from .supervision import (
     HALVES_ONLY_IDS,
@@ -136,10 +137,6 @@ def _label_region_ids(cfg: RunConfig) -> tuple[int, ...]:
     return ALL_REGION_IDS if cfg.use_quarters else HALVES_ONLY_IDS
 
 
-def _neg_region_ids(cfg: RunConfig) -> tuple[int, ...]:
-    return ALL_REGION_IDS if cfg.use_quarters else HALVES_ONLY_IDS
-
-
 @dataclass
 class GenerationTargets:
     """Per-query difficult positives (gallery rows) and optional soft labels,
@@ -222,35 +219,34 @@ def _batch_loss(
 ) -> ag.Tensor:
     """Mean loss over the batch with shared gallery sub-graphs.
 
-    Feature maps and region descriptors are memoized per gallery row so a
+    The feature map and region matrix of a gallery row are memoized, so a
     gallery image reused by several tuples contributes one sub-graph whose
-    gradient accumulates from every consumer.
+    gradient accumulates from every consumer. A region matrix holds this
+    generation's label regions (the full map alone in generation 1);
+    negative regions, when on, come from the same set.
     """
-    fm_memo: dict[int, ag.Tensor] = {}
-    desc_memo: dict[tuple[int, int], ag.Tensor] = {}
+    region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
+    memo: dict[int, tuple[ag.Tensor, ag.Tensor]] = {}
 
-    def gallery_fm(grow: int) -> ag.Tensor:
-        if grow not in fm_memo:
-            fm_memo[grow] = enc.encode(model.encoder, train_g[grow].pixels)
-        return fm_memo[grow]
+    def gallery(grow: int) -> tuple[ag.Tensor, ag.Tensor]:
+        if grow not in memo:
+            fm = enc.encode(model.encoder, train_g[grow].pixels)
+            memo[grow] = fm, vlad_mod.aggregate_regions(model.vlad, fm, region_ids)
+        return memo[grow]
 
     def gallery_desc(grow: int, rid: int) -> ag.Tensor:
-        key = (grow, rid)
-        if key not in desc_memo:
-            desc_memo[key] = region_descriptor(model, gallery_fm(grow), rid)
-        return desc_memo[key]
+        return gallery(grow)[1][region_ids.index(rid)]
 
-    neg_ids = _neg_region_ids(cfg)
     losses = []
     for qrow, pos_rows, negs in batch:
         q = image_descriptor(model, train_q[qrow].pixels)
         if omega >= 2 and cfg.use_neg_regions:
-            # Region choice is a no-grad argmax; the chosen region is then
-            # recomputed on the graph so gradients flow into it.
+            # Region choice is a no-grad argmax; the chosen region's row of
+            # the graph's region matrix then carries the gradients.
             neg_descs = []
             for nrow in negs:
                 rid, _ = hardest_negative_region(
-                    q.data, gallery_fm(nrow).data, model.vlad, region_ids=neg_ids
+                    q.data, gallery(nrow)[0].data, model.vlad, region_ids=region_ids
                 )
                 neg_descs.append(gallery_desc(nrow, rid))
         else:
@@ -259,25 +255,17 @@ def _batch_loss(
         if cfg.naive_topk and omega >= 2:
             # Averaged over the top-k so the ablation trains at the same
             # loss scale as the single-positive objective.
-            tuple_loss = None
-            for prow in pos_rows:
-                term = hard_loss(q, gallery_desc(prow, 0), neg_descs)
-                tuple_loss = term if tuple_loss is None else ag.add(tuple_loss, term)
-            tuple_loss = ag.scale(tuple_loss, 1.0 / len(pos_rows))
+            terms = [hard_loss(q, gallery_desc(prow, 0), neg_descs) for prow in pos_rows]
+            tuple_loss = ag.scale(functools.reduce(ag.add, terms), 1.0 / len(pos_rows))
         else:
             tuple_loss = hard_loss(q, gallery_desc(pos_rows[0], 0), neg_descs)
             if omega >= 2 and cfg.use_soft:
                 rec = records_by_qrow[qrow]
-                sims = student_region_sims(
-                    q, rec, lambda gid, rid: gallery_desc(gid_to_row[gid], rid)
-                )
+                sims = student_region_sims(q, rec, lambda gid: gallery(gid_to_row[gid])[1])
                 tuple_loss = total_loss(tuple_loss, soft_loss(sims, rec), cfg.lam)
         losses.append(tuple_loss)
 
-    total = losses[0]
-    for t in losses[1:]:
-        total = ag.add(total, t)
-    return ag.scale(total, 1.0 / len(losses))
+    return ag.scale(functools.reduce(ag.add, losses), 1.0 / len(losses))
 
 
 @dataclass

@@ -7,19 +7,23 @@ a K*D descriptor whose dot products measure view similarity. Centers are the
 only parameters; the projection (2*alpha*c_k) and bias (-alpha*|c_k|^2) are
 derived from them inside the graph so gradients reach the centers.
 
-:func:`aggregate` is written once in numpy operator syntax. Given Tensors it
-records the training graph; given arrays the same lines run on numpy alone,
-which is how mining, labels and evaluation call it.
+:func:`aggregate_regions` is the one definition, written in numpy operator
+syntax. Given Tensors it records the training graph; given arrays the same
+lines run on numpy alone, which is how mining, labels and evaluation call
+it. It describes any set of the nine fixed regions of a map in one pass,
+and :func:`aggregate` is its full-map case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .errors import InitError, ParameterError, ShapeError
+from .regions import FULL_REGION, region_mask
 from .seeding import derive_rng
 
 DEFAULT_K = 8
@@ -42,6 +46,10 @@ class VladParams:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
+
+    def as_arrays(self) -> "VladParams":
+        """The same parameters on array leaves: aggregation records no graph."""
+        return VladParams(ag._data(self.centers), self.alpha)
 
 
 def init_centers(features: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -73,14 +81,14 @@ def init_centers(features: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def aggregate(params: VladParams, fm):
-    """Aggregate a (D, H, W) feature map to a unit K*D descriptor.
+def aggregate_regions(params: VladParams, fm, region_ids: Sequence[int]):
+    """Aggregate regions of a (D, H, W) feature map to unit K*D rows, (R, K*D).
 
-    A graph node when the map or the centers are Tensors, a plain array when
-    both are arrays. Residual rows are averaged over spatial positions
-    rather than summed, so their scale does not depend on how many columns
-    a (sub-)map has and the smooth intra-normalization treats full maps and
-    small regions alike.
+    Row r describes region ``region_ids[r]``: a graph node when the map or
+    the centers are Tensors, a plain array when both are arrays. Assignment
+    is per position, so one softmax serves every region and a 0/1 mask picks
+    each region's residual sums. These are averaged over the region's
+    positions, so the intra-normalization treats all region sizes alike.
     """
     if fm.ndim != 3:
         raise ShapeError(f"expected (D, H, W) feature map, got shape {fm.shape}")
@@ -89,19 +97,27 @@ def aggregate(params: VladParams, fm):
         raise ShapeError(f"feature dim {fm.shape[0]} does not match centers dim {d}")
     k = params.k
     n = fm.shape[1] * fm.shape[2]
+    mask = region_mask(fm.shape[1], fm.shape[2], tuple(region_ids))  # (N, R, 1)
+    r = mask.shape[1]
     c = params.centers
     x = fm.reshape((d, n)).T  # (N, D)
     proj = c * (2.0 * params.alpha)
     bias = (c * c).sum(axis=1) * -params.alpha
     scores = x @ proj.T + bias  # (N, K)
     assign = ag.softmax(scores, axis=1)
-    weighted = assign.T @ x  # (K, D)
-    mass = assign.sum(axis=0).reshape((k, 1))
-    residuals = (weighted - mass * c) * (1.0 / n)
-    intra = ag.l2_normalize_smooth(residuals, axis=1)
-    return ag.l2_normalize(intra.reshape((k * d,)))
+    masked = (assign.reshape((n, 1, k)) * mask).reshape((n, r * k))  # (N, R*K)
+    weighted = (masked.T @ x).reshape((r, k, d))
+    mass = masked.sum(axis=0).reshape((r, k, 1))
+    residuals = (weighted - mass * c) * (1.0 / mask.sum(axis=0)).reshape((r, 1, 1))
+    intra = ag.l2_normalize_smooth(residuals.reshape((r * k, d)), axis=1)
+    return ag.l2_normalize(intra.reshape((r, k * d)))
+
+
+def aggregate(params: VladParams, fm):
+    """Aggregate a whole (D, H, W) feature map to a unit K*D descriptor."""
+    return aggregate_regions(params, fm, (FULL_REGION,)).reshape((params.k * params.dim,))
 
 
 def aggregate_array(params: VladParams, fm: np.ndarray) -> np.ndarray:
     """:func:`aggregate` on array leaves: no graph is recorded."""
-    return aggregate(VladParams(params.centers.data, params.alpha), np.asarray(fm, np.float64))
+    return aggregate(params.as_arrays(), np.asarray(fm, np.float64))

@@ -4,7 +4,11 @@ These deliberately use plain Python loops and full sorted neighbor lists so
 they share no code path with the package internals they check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from regionsim.mining import NEGATIVE_RADIUS_M, POSITIVE_RADIUS_M
 
 
 def brute_k_reciprocal(query_desc, gallery_descs, k):
@@ -60,3 +64,39 @@ def literal_region_blocks(fm):
         7: fm[:, h - hh : h, 0:hw],
         8: fm[:, h - hh : h, w - hw : w],
     }
+
+
+@dataclass(frozen=True)
+class TrainingTuple:
+    """One training unit: query, easiest positive, ranked difficult
+    positives, and negatives with their mined hardest region ids.
+
+    The easiest positive is the hard-loss positive. In generation 1 it is
+    the most similar gallery item within 10 m and there are no difficult
+    positives. From generation 2 on the difficult positives are the gallery
+    items within 10 m ranked by the frozen teacher, at most k and fewer when
+    fewer candidates exist, and the easiest positive is the first of them.
+    """
+
+    query_id: int
+    easiest_positive: int
+    difficult_positives: tuple
+    negatives: tuple
+    negative_regions: tuple
+
+
+def tuple_respects_geography(t, query_pos, gallery_pos, generation):
+    """Recheck the 10 m / 25 m rules against raw reported coordinates.
+
+    In every generation the hard-loss positive lies within 10 m. From
+    generation 2 on it is also the first difficult positive, and every
+    difficult positive lies within 10 m. Every negative lies beyond 25 m.
+    """
+    if abs(gallery_pos[t.easiest_positive] - query_pos) > POSITIVE_RADIUS_M:
+        return False
+    if generation >= 2:
+        if not t.difficult_positives or t.easiest_positive != t.difficult_positives[0]:
+            return False
+        if any(abs(gallery_pos[p] - query_pos) > POSITIVE_RADIUS_M for p in t.difficult_positives):
+            return False
+    return all(abs(gallery_pos[n] - query_pos) > NEGATIVE_RADIUS_M for n in t.negatives)

@@ -206,7 +206,8 @@ class TestCriterion6:
             rhos.append(spearmanr(weights, truths).statistic)
         mean_rho = float(np.mean(rhos))
         ok = mean_rho >= 0.3
-        report(6, "label fidelity", ok, f"spearman {mean_rho:.3f} (seeds {rhos})")
+        seeds = ", ".join(f"{rho:.3f}" for rho in rhos)
+        report(6, "label fidelity", ok, f"spearman {mean_rho:.3f} (seeds {seeds})")
         assert mean_rho >= 0.3
 
 

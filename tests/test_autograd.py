@@ -148,6 +148,17 @@ class TestL2Normalize:
         with pytest.raises(DegenerateInputError):
             ag.l2_normalize(np.full(4, 1e-13))
 
+    def test_rows_of_a_matrix(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(5, 7))
+        out = ag.l2_normalize(x)
+        for row, v in zip(out, x):
+            assert np.array_equal(row, ag.l2_normalize(v))
+        with pytest.raises(DegenerateInputError):
+            ag.l2_normalize(np.vstack([x, np.zeros(7)]))
+        with pytest.raises(ShapeError):
+            ag.l2_normalize(np.ones((2, 3, 4)))
+
     def test_smooth_variant_keeps_zero_rows(self):
         # Rows far above eps are unit to ~eps^2 relative error; zero rows
         # stay exactly zero instead of being rescaled.
@@ -308,6 +319,16 @@ class TestGradients:
 
         def fn():
             return ag.tensor_sum(ag.mul(ag.l2_normalize_smooth(x, axis=1), ag.constant(wts)))
+
+        assert ag.grad_check(fn, [x]) <= self.TOL
+
+    def test_row_l2_normalize_gradient(self):
+        rng = np.random.default_rng(73)
+        x = ag.parameter(rng.normal(size=(3, 4)) + 0.5)
+        wts = rng.normal(size=(3, 4))
+
+        def fn():
+            return ag.tensor_sum(ag.mul(ag.l2_normalize(x), ag.constant(wts)))
 
         assert ag.grad_check(fn, [x]) <= self.TOL
 

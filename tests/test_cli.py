@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from regionsim import gradsuite
 from regionsim.cli import main
 from regionsim.config import parse_config_text, run_config_from, world_spec_from
 from regionsim.supervision import read_label_file
@@ -126,7 +127,7 @@ class TestGradcheck:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1].startswith("max ")
         assert float(lines[-1].split()[1]) <= 1e-4
-        assert len(lines) == 7
+        assert [line.split()[0] for line in lines[:-1]] == [n for n, _ in gradsuite.ALL_CHECKS]
 
 
 class TestExitCodes:

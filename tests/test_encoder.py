@@ -95,6 +95,14 @@ class TestPaths:
             img = rng.normal(size=(rng.integers(8, 40), rng.integers(8, 40)))
             assert np.array_equal(enc.encode(params, img).data, enc.encode_array(params, img))
 
+    def test_array_leaves(self):
+        params = enc.init_encoder(6)
+        plain = enc.EncoderParams(
+            [w.data.copy() for w in params.weights], [b.data.copy() for b in params.biases]
+        )
+        img = np.random.default_rng(6).normal(size=(16, 24))
+        assert np.array_equal(enc.encode_array(plain, img), enc.encode_array(params, img))
+
 
 class TestFreezing:
     def test_frozen_layers_keep_zero_grads(self):

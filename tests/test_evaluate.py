@@ -81,24 +81,27 @@ class TestApplyWhitening:
 
     def test_outputs_unit_norm(self):
         rng = np.random.default_rng(407)
-        for _ in range(20):
-            out = ev.apply_whitening(self.model, rng.normal(size=10))
-            np.testing.assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
+        out = ev.apply_whitening_batch(self.model, rng.normal(size=(20, 10)))
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_mean_vector_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            ev.apply_whitening(self.model, self.model.mean.copy())
+            ev.apply_whitening_batch(self.model, self.model.mean[None, :].copy())
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            ev.apply_whitening(self.model, np.zeros(11))
+            ev.apply_whitening_batch(self.model, np.zeros((1, 11)))
+        with pytest.raises(ShapeError):
+            ev.apply_whitening_batch(self.model, np.zeros(10))
 
     def test_batch_matches_single(self):
+        # Each row equals the one-descriptor formula: project, re-normalize.
         rng = np.random.default_rng(408)
         batch = rng.normal(size=(5, 10))
         out = ev.apply_whitening_batch(self.model, batch)
         for i in range(5):
-            np.testing.assert_allclose(out[i], ev.apply_whitening(self.model, batch[i]))
+            z = self.model.projection @ (batch[i] - self.model.mean)
+            np.testing.assert_allclose(out[i], z / np.linalg.norm(z))
 
 
 class TestRecall:

@@ -7,6 +7,7 @@ from regionsim import gradsuite
 REQUIRED = {
     "encoder",
     "vlad_aggregate",
+    "vlad_regions",
     "softmax_temp",
     "soft_cross_entropy",
     "hard_loss",

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_hardest_region, brute_k_reciprocal, literal_region_blocks
+from _oracles import (
+    TrainingTuple,
+    brute_hardest_region,
+    brute_k_reciprocal,
+    literal_region_blocks,
+    tuple_respects_geography,
+)
 from regionsim import autograd as ag
 from regionsim import mining, trainer, vlad
 from regionsim.config import RunConfig
@@ -211,14 +217,14 @@ class TestTupleGeography:
             negs = mining.sample_negatives(
                 qpos, qdesc, pos, descs, derive_rng(trial, "geo"), n=5
             )
-            t = mining.TrainingTuple(
+            t = TrainingTuple(
                 query_id=0,
                 easiest_positive=p_star,
                 difficult_positives=(),
                 negatives=tuple(negs),
                 negative_regions=(0,) * len(negs),
             )
-            assert mining.tuple_respects_geography(t, qpos, pos, generation=1)
+            assert tuple_respects_geography(t, qpos, pos, generation=1)
             assert abs(pos[p_star] - qpos) <= 10.0
             for n_id in negs:
                 assert abs(pos[n_id] - qpos) > 25.0
@@ -251,24 +257,24 @@ class TestTupleGeography:
             negs = mining.sample_negatives(
                 q.reported_x, q_descs[qrow], g_pos, g_descs, derive_rng(qrow, "geo"), n=5
             )
-            t = mining.TrainingTuple(
+            t = TrainingTuple(
                 query_id=q.id,
                 easiest_positive=rows[0],
                 difficult_positives=rows,
                 negatives=tuple(negs),
                 negative_regions=(0,) * len(negs),
             )
-            assert mining.tuple_respects_geography(t, q.reported_x, g_pos, generation=2)
+            assert tuple_respects_geography(t, q.reported_x, g_pos, generation=2)
 
     def test_generation_two_rejects_far_or_misplaced_positive(self):
         pos = np.array([2.0, 5.0, 14.0, 60.0])
         base = dict(query_id=0, negatives=(3,), negative_regions=(0,))
-        ok = mining.TrainingTuple(easiest_positive=1, difficult_positives=(1, 0), **base)
-        far = mining.TrainingTuple(easiest_positive=1, difficult_positives=(1, 2), **base)
-        misplaced = mining.TrainingTuple(easiest_positive=0, difficult_positives=(1, 0), **base)
-        far_hard = mining.TrainingTuple(easiest_positive=2, difficult_positives=(2,), **base)
-        assert mining.tuple_respects_geography(ok, 0.0, pos, generation=2)
-        assert not mining.tuple_respects_geography(far, 0.0, pos, generation=2)
-        assert not mining.tuple_respects_geography(misplaced, 0.0, pos, generation=2)
-        assert not mining.tuple_respects_geography(far_hard, 0.0, pos, generation=2)
-        assert not mining.tuple_respects_geography(far_hard, 0.0, pos, generation=1)
+        ok = TrainingTuple(easiest_positive=1, difficult_positives=(1, 0), **base)
+        far = TrainingTuple(easiest_positive=1, difficult_positives=(1, 2), **base)
+        misplaced = TrainingTuple(easiest_positive=0, difficult_positives=(1, 0), **base)
+        far_hard = TrainingTuple(easiest_positive=2, difficult_positives=(2,), **base)
+        assert tuple_respects_geography(ok, 0.0, pos, generation=2)
+        assert not tuple_respects_geography(far, 0.0, pos, generation=2)
+        assert not tuple_respects_geography(misplaced, 0.0, pos, generation=2)
+        assert not tuple_respects_geography(far_hard, 0.0, pos, generation=2)
+        assert not tuple_respects_geography(far_hard, 0.0, pos, generation=1)

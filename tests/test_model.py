@@ -2,11 +2,12 @@
 
 import numpy as np
 
+from _oracles import literal_region_blocks
 from regionsim import autograd as ag
 from regionsim import encoder as enc
 from regionsim import model as mdl
 from regionsim import vlad
-from regionsim.regions import region_view
+from regionsim.regions import ALL_REGION_IDS
 
 
 def sample_images(seed, n=4, shape=(16, 24)):
@@ -51,19 +52,40 @@ class TestDescriptors:
     def test_region_paths_match_bitwise(self):
         m = mdl.init_model(6, sample_images(6))
         img = sample_images(7, n=1, shape=(32, 96))[0]
-        fm_t = enc.encode(m.encoder, img)
-        fm_a = enc.encode_array(m.encoder, img)
-        for rid in range(9):
-            graph = mdl.region_descriptor(m, fm_t, rid).data
-            assert np.array_equal(graph, vlad.aggregate_array(m.vlad, region_view(fm_a, rid)))
+        graph = vlad.aggregate_regions(m.vlad, enc.encode(m.encoder, img), ALL_REGION_IDS).data
+        array = vlad.aggregate_regions(
+            m.vlad.as_arrays(), enc.encode_array(m.encoder, img), ALL_REGION_IDS
+        )
+        assert isinstance(array, np.ndarray)
+        assert np.array_equal(graph, array)
 
-    def test_region_view_equals_copy_descriptor(self):
+    def test_region_rows_equal_block_descriptors(self):
+        # A 4x12 map: every region has at least 2 positions, so each row is
+        # bitwise the whole-map descriptor of the cropped block.
         m = mdl.init_model(8, sample_images(8))
         fm = enc.encode_array(m.encoder, sample_images(9, n=1, shape=(32, 96))[0])
-        for rid in range(9):
-            via_view = vlad.aggregate_array(m.vlad, region_view(fm, rid))
-            via_copy = vlad.aggregate_array(m.vlad, np.ascontiguousarray(region_view(fm, rid)))
-            assert np.array_equal(via_view, via_copy)
+        assert fm.shape[1:] == (4, 12)
+        rows = vlad.aggregate_regions(m.vlad.as_arrays(), fm, ALL_REGION_IDS)
+        blocks = literal_region_blocks(fm)
+        for rid in ALL_REGION_IDS:
+            assert np.array_equal(rows[rid], vlad.aggregate_array(m.vlad, blocks[rid]))
+
+    def test_region_rows_match_blocks_on_random_sizes(self):
+        # A one-position block scores its position with a one-row product,
+        # which takes another BLAS path, so its row agrees to rounding;
+        # every larger region is bitwise equal.
+        rng = np.random.default_rng(13)
+        params = vlad.VladParams(rng.normal(size=(5, 6)), alpha=3.0)
+        for _ in range(30):
+            fm = rng.normal(size=(6, int(rng.integers(1, 8)), int(rng.integers(1, 14))))
+            rows = vlad.aggregate_regions(params, fm, ALL_REGION_IDS)
+            blocks = literal_region_blocks(fm)
+            for rid in ALL_REGION_IDS:
+                want = vlad.aggregate_array(params, blocks[rid])
+                if blocks[rid][0].size > 1:
+                    assert np.array_equal(rows[rid], want)
+                else:
+                    np.testing.assert_allclose(rows[rid], want, rtol=0, atol=1e-15)
 
     def test_descriptor_gradient_is_exact(self):
         m = mdl.init_model(10, sample_images(10))

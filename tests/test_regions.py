@@ -1,11 +1,13 @@
-"""Region decomposition tests: slice layout, view semantics, gradients."""
+"""Region decomposition tests: slice layout, region masks, gradients."""
 
 import numpy as np
 import pytest
 
+from _oracles import literal_region_blocks
 from regionsim import autograd as ag
+from regionsim import vlad
 from regionsim.errors import ParameterError, ShapeError
-from regionsim.regions import ALL_REGION_IDS, region_slices, region_view
+from regionsim.regions import ALL_REGION_IDS, region_mask, region_slices
 
 
 class TestSlices:
@@ -49,46 +51,86 @@ class TestSlices:
 
 
 class TestViews:
-    def test_array_view_shares_memory(self):
-        fm = np.arange(2 * 4 * 6, dtype=np.float64).reshape(2, 4, 6)
-        for rid in ALL_REGION_IDS:
-            assert np.shares_memory(region_view(fm, rid), fm)
+    """A region's view of a map is its 0/1 position mask, not a slice."""
 
     def test_view_matches_copy_values(self):
-        rng = np.random.default_rng(3)
-        fm = rng.normal(size=(16, 4, 12))
-        for rid in ALL_REGION_IDS:
-            v = region_view(fm, rid)
-            assert np.array_equal(v, np.ascontiguousarray(v.copy()))
+        # The positions a mask selects are exactly the literal block's.
+        for h, w in [(4, 12), (5, 13), (3, 3), (2, 7), (1, 1)]:
+            grid = np.arange(h * w, dtype=np.float64).reshape(1, h, w)
+            blocks = literal_region_blocks(grid)
+            mask = region_mask(h, w, ALL_REGION_IDS)
+            assert mask.shape == (h * w, 9, 1)
+            assert set(np.unique(mask)) <= {0.0, 1.0}
+            for r, rid in enumerate(ALL_REGION_IDS):
+                picked = grid.reshape(-1)[mask[:, r, 0] == 1.0]
+                assert np.array_equal(picked, blocks[rid].reshape(-1))
+
+    def test_mask_rows_follow_requested_ids(self):
+        full = region_mask(5, 6, ALL_REGION_IDS)
+        some = region_mask(5, 6, (4, 0, 7))
+        assert np.array_equal(some[:, :, 0], full[:, [4, 0, 7], 0])
+
+    def test_mask_is_cached_and_read_only(self):
+        a = region_mask(4, 6, (0, 1, 2))
+        assert region_mask(4, 6, (0, 1, 2)) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 0.0
 
     def test_rejects_bad_region_id(self):
-        fm = np.zeros((2, 4, 4))
         for rid in (-1, 9, 100):
             with pytest.raises(ParameterError):
-                region_view(fm, rid)
+                region_mask(4, 4, (0, rid))
+        with pytest.raises(ParameterError):
+            region_mask(4, 4, ())
+        params = vlad.VladParams(centers=np.eye(2))
+        with pytest.raises(ParameterError):
+            vlad.aggregate_regions(params, np.ones((2, 4, 4)), (9,))
 
     def test_rejects_non_3d(self):
+        params = vlad.VladParams(centers=np.eye(2))
         with pytest.raises(ShapeError):
-            region_view(np.zeros((4, 4)), 1)
+            vlad.aggregate_regions(params, np.ones((2, 4)), (1,))
+        with pytest.raises(ShapeError):
+            vlad.aggregate_regions(params, ag.constant(np.ones((1, 2, 4, 4))), (1,))
 
 
 class TestGradients:
+    """Each region row's gradient reaches the map only inside its region."""
+
+    def params(self, seed):
+        rng = np.random.default_rng(seed)
+        return vlad.VladParams(centers=ag.parameter(rng.normal(size=(3, 2))), alpha=2.0)
+
     def test_gradient_scatters_into_region_only(self):
-        fm = ag.parameter(np.ones((1, 4, 6)))
-        out = ag.tensor_sum(region_view(fm, 5))  # top-left quarter
-        out.backward()
-        expect = np.zeros((1, 4, 6))
-        expect[0, 0:2, 0:3] = 1.0
-        np.testing.assert_allclose(fm.grad, expect)
+        rng = np.random.default_rng(31)
+        params = self.params(30)
+        fm = ag.parameter(rng.normal(size=(2, 4, 6)))
+        rows = vlad.aggregate_regions(params, fm, ALL_REGION_IDS)
+        ag.dot(rows[5], ag.constant(rng.normal(size=6))).backward()  # top-left
+        inside = np.zeros((4, 6), dtype=bool)
+        inside[0:2, 0:3] = True
+        assert np.all(fm.grad[:, ~inside] == 0.0)
+        assert np.all(np.abs(fm.grad[:, inside]).sum(axis=0) > 0.0)
 
     def test_overlapping_regions_accumulate(self):
-        fm = ag.parameter(np.ones((1, 3, 3)))
-        total = ag.add(ag.tensor_sum(region_view(fm, 3)), ag.tensor_sum(region_view(fm, 4)))
-        total.backward()
-        # Odd height: middle row belongs to both halves.
-        np.testing.assert_allclose(fm.grad[0, 1], [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(fm.grad[0, 0], [1.0, 1.0, 1.0])
+        # Odd height: the middle row belongs to both the top and bottom half.
+        rng = np.random.default_rng(33)
+        params = self.params(32)
+        fm_data = rng.normal(size=(2, 3, 3))
+        wts = rng.normal(size=(2, 6))
 
-    def test_full_region_returns_same_tensor(self):
-        fm = ag.parameter(np.ones((1, 2, 2)))
-        assert region_view(fm, 0) is fm
+        def grad_of(rids):
+            fm = ag.parameter(fm_data)
+            rows = vlad.aggregate_regions(params, fm, (3, 4))
+            total = None
+            for r in rids:
+                term = ag.dot(rows[r], ag.constant(wts[r]))
+                total = term if total is None else ag.add(total, term)
+            total.backward()
+            return fm.grad
+
+        top, bottom, both = grad_of([0]), grad_of([1]), grad_of([0, 1])
+        assert np.all(top[:, 2] == 0.0) and np.all(bottom[:, 0] == 0.0)
+        assert np.all(top[:, 1] != 0.0) and np.all(bottom[:, 1] != 0.0)
+        np.testing.assert_allclose(both, top + bottom, rtol=0, atol=1e-15)

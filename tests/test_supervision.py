@@ -138,6 +138,44 @@ class TestRegionSoftLabels:
             sup.validate_record(rec, (0, 1))
 
 
+class TestStudentRegionSims:
+    def setup(self, seed):
+        rng = np.random.default_rng(seed)
+        q = ag.parameter(unit_rows(rng, 1, 8)[0])
+        mats = {gid: ag.parameter(unit_rows(rng, 5, 8)) for gid in (7, 3)}
+        rec = sup.SoftLabelRecord(
+            query_id=0,
+            generation=1,
+            tau=0.07,
+            entries=sup.expected_entries([7, 3], sup.HALVES_ONLY_IDS),
+            weights=(0.1,) * 10,
+        )
+        return q, mats, rec
+
+    def test_matches_per_entry_dot_products(self):
+        q, mats, rec = self.setup(210)
+        sims = sup.student_region_sims(q, rec, lambda gid: mats[gid])
+        want = [float(mats[gid].data[rid] @ q.data) for gid, rid in rec.entries]
+        assert sims.shape == (10,)
+        np.testing.assert_allclose(sims.data, want, rtol=0, atol=1e-15)
+
+    def test_gradients_reach_query_and_regions(self):
+        q, mats, rec = self.setup(211)
+        wts = np.random.default_rng(212).normal(size=10)
+
+        def fn():
+            sims = sup.student_region_sims(q, rec, lambda gid: mats[gid])
+            return ag.dot(sims, ag.constant(wts))
+
+        assert ag.grad_check(fn, [q, *mats.values()]) <= 1e-4
+
+    def test_short_region_matrix_is_a_length_mismatch(self):
+        q, mats, rec = self.setup(213)
+        sims = sup.student_region_sims(q, rec, lambda gid: mats[gid][0:4])
+        with pytest.raises(IntegrityError):
+            sup.soft_loss(sims, rec)
+
+
 class TestHardLoss:
     def test_balanced_pairs(self):
         q = ag.constant([1.0, 0.0])

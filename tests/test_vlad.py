@@ -6,6 +6,7 @@ import pytest
 from regionsim import autograd as ag
 from regionsim import vlad
 from regionsim.errors import DegenerateInputError, InitError, ShapeError
+from regionsim.regions import ALL_REGION_IDS
 
 
 def make_params(k=3, d=4, seed=0, alpha=10.0):
@@ -89,6 +90,17 @@ class TestAggregate:
         with pytest.raises(ShapeError):
             vlad.aggregate_array(params, np.zeros((5, 2, 2)))
 
+    def test_array_leaves(self):
+        # VladParams documents a plain array as valid centers.
+        rng = np.random.default_rng(10)
+        params = make_params(k=3, d=4, seed=11)
+        fm = rng.normal(size=(4, 3, 5))
+        plain = vlad.VladParams(centers=params.centers.data.copy(), alpha=params.alpha)
+        desc = vlad.aggregate_array(plain, fm)
+        assert isinstance(desc, np.ndarray)
+        assert np.array_equal(desc, vlad.aggregate_array(params, fm))
+        assert np.array_equal(plain.as_arrays().centers, plain.centers)
+
     def test_gradients_reach_centers_and_features(self):
         rng = np.random.default_rng(8)
         params = make_params(k=3, d=4, seed=9, alpha=2.0)
@@ -97,5 +109,44 @@ class TestAggregate:
 
         def fn():
             return ag.dot(vlad.aggregate(params, fm), ag.constant(wts))
+
+        assert ag.grad_check(fn, [params.centers, fm]) <= 1e-4
+
+
+class TestAggregateRegions:
+    def test_shape_and_unit_rows(self):
+        rng = np.random.default_rng(12)
+        params = make_params(k=3, d=4, seed=13)
+        rows = vlad.aggregate_regions(params.as_arrays(), rng.normal(size=(4, 3, 5)), (0, 2, 7))
+        assert rows.shape == (3, 12)
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+
+    def test_full_region_row_is_aggregate(self):
+        rng = np.random.default_rng(14)
+        params = make_params(k=5, d=6, seed=15)
+        for _ in range(10):
+            fm = rng.normal(size=(6, rng.integers(1, 5), rng.integers(1, 7)))
+            rows = vlad.aggregate_regions(params.as_arrays(), fm, ALL_REGION_IDS)
+            assert np.array_equal(rows[0], vlad.aggregate_array(params, fm))
+
+    def test_paths_match_bitwise(self):
+        rng = np.random.default_rng(16)
+        params = make_params(k=5, d=6, seed=17)
+        for _ in range(10):
+            fm = rng.normal(size=(6, rng.integers(1, 5), rng.integers(1, 7)))
+            graph = vlad.aggregate_regions(params, ag.constant(fm), ALL_REGION_IDS)
+            array = vlad.aggregate_regions(params.as_arrays(), fm, ALL_REGION_IDS)
+            assert isinstance(graph, ag.Tensor) and isinstance(array, np.ndarray)
+            assert np.array_equal(graph.data, array)
+
+    def test_gradients_reach_centers_and_features(self):
+        rng = np.random.default_rng(18)
+        params = make_params(k=3, d=4, seed=19, alpha=2.0)
+        fm = ag.parameter(rng.normal(size=(4, 3, 5)))
+        wts = rng.normal(size=(9, 12))
+
+        def fn():
+            rows = vlad.aggregate_regions(params, fm, ALL_REGION_IDS)
+            return ag.tensor_sum(ag.mul(rows, ag.constant(wts)))
 
         assert ag.grad_check(fn, [params.centers, fm]) <= 1e-4
