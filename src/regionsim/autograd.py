@@ -449,15 +449,22 @@ def l2_normalize_smooth(a, axis=None, eps: float = SMOOTH_EPS):
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0):
-    """2-D convolution of a (Cin, H, W) map with (Cout, Cin, kh, kw) kernels.
+    """2-D convolution of a (Cin, B, H, W) stack with (Cout, Cin, kh, kw) kernels.
 
-    The fixed kernel-offset summation order makes repeated evaluations
-    bitwise identical.
+    Returns a (Cout, B, H', W') stack; a single (Cin, H, W) map is the
+    B = 1 case and keeps its rank. Each kernel offset is one
+    ``w[:, :, i, j] @ patch`` product over all B*H'*W' output positions,
+    summed in a fixed offset order, so repeated evaluations are bitwise
+    identical. A position's sum over Cin does not depend on the other
+    images of its stack, except that BLAS may round a column at the edge of
+    its tiling differently, by an ulp or so, where H'*W' is not a multiple
+    of the tile width.
     """
     xd, wdata, bd = _data(x), _data(w), _data(b)
-    if xd.ndim != 3 or wdata.ndim != 4 or bd.ndim != 1:
-        raise ShapeError("conv2d expects x(Cin,H,W), w(Cout,Cin,kh,kw), b(Cout,)")
-    cin, h, wd = xd.shape
+    if xd.ndim not in (3, 4) or wdata.ndim != 4 or bd.ndim != 1:
+        raise ShapeError("conv2d expects x(Cin,[B,]H,W), w(Cout,Cin,kh,kw), b(Cout,)")
+    xs = xd if xd.ndim == 4 else xd[:, None]
+    cin, n, h, wd = xs.shape
     cout, cin_w, kh, kw = wdata.shape
     if cin != cin_w or bd.shape[0] != cout:
         raise ShapeError(f"conv2d channel mismatch: x has {cin}, w expects {cin_w}")
@@ -465,13 +472,16 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
     w_out = (wd + 2 * pad - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"input {h}x{wd} too small for kernel {kh}x{kw} stride {stride}")
-    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad))) if pad else xd
-    acc = np.repeat(bd[:, None], h_out * w_out, axis=1)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-            acc = acc + wdata[:, :, i, j] @ patch.reshape(cin, -1)
-    out_data = acc.reshape(cout, h_out, w_out)
+    xp = np.pad(xs, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xs
+    offsets = [
+        (i, j, np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride])
+        for i in range(kh)
+        for j in range(kw)
+    ]
+    acc = np.repeat(bd[:, None], n * h_out * w_out, axis=1)
+    for i, j, at in offsets:
+        acc = acc + wdata[:, :, i, j] @ xp[at].reshape(cin, -1)
+    out_data = acc.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
     if not any(isinstance(t, Tensor) for t in (x, w, b)):
         return out_data
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -482,19 +492,16 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
             b._accumulate(gm.sum(axis=1))
         need_x = x.requires_grad
         gxp = np.zeros_like(xp) if need_x else None
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-                if w.requires_grad:
-                    if w.grad is None:
-                        w.grad = np.zeros_like(w.data)
-                    w.grad[:, :, i, j] += gm @ patch.reshape(cin, -1).T
-                if need_x:
-                    gxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                        w.data[:, :, i, j].T @ gm
-                    ).reshape(cin, h_out, w_out)
+        for i, j, at in offsets:
+            if w.requires_grad:
+                if w.grad is None:
+                    w.grad = np.zeros_like(w.data)
+                w.grad[:, :, i, j] += gm @ xp[at].reshape(cin, -1).T
+            if need_x:
+                gxp[at] += (w.data[:, :, i, j].T @ gm).reshape(cin, n, h_out, w_out)
         if need_x:
-            x._accumulate(gxp[:, pad : pad + h, pad : pad + wd] if pad else gxp)
+            gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
+            x._accumulate(gx.reshape(xd.shape))
 
     return Tensor(out_data, _parents=(x, w, b), _backward=backward)
 

@@ -9,10 +9,12 @@ row-major. Everything needed to resume or evaluate is in the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
+from .atomic import atomic_open
 from .encoder import CHANNELS, KERNEL, EncoderParams
 from .errors import DatasetError, IntegrityError, SequencingError
 from .model import Model
@@ -103,7 +105,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str):
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}".rstrip())
     lines.append("end")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         for _, arr in ckpt.tensors:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -111,7 +113,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str):
 
 def load_checkpoint(path: str) -> Checkpoint:
     try:
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"unreadable checkpoint {path}: {exc}") from exc
     sep = raw.find(b"end\n")

@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import trainer
+from .atomic import atomic_open
 from .checkpoint import load_checkpoint, to_model
 from .config import (
     RunConfig,
@@ -82,7 +83,7 @@ def _write_run_record(out_dir: str, command: str, config_lines: list[str], seeds
         "seeds": seeds,
         "artifacts": artifacts,
     }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="ascii") as fh:
+    with atomic_open(os.path.join(out_dir, "run.json"), "w", encoding="ascii") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

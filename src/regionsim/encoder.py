@@ -7,6 +7,12 @@ forward definition: with Tensor parameters it records the training graph,
 with array parameters (:func:`encode_array`) it returns a plain array for
 mining and evaluation, where no gradients are needed.
 
+Images carry a batch axis: a (B, H, W) stack of same-shape images runs
+through one conv product per kernel offset and layer, in the conv layout
+(16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Training
+graphs encode one image at a time; the gradient-free callers encode
+fixed chunks (``trainer.encode_images``).
+
 The low-pass is anti-aliasing. The layers subsample by 8 in all, and the
 facade glyphs hold 2-pixel checkers, far above the rate they are sampled
 at. Unfiltered, a view shifted by one or two pixels (under 0.25 m) has a
@@ -80,28 +86,35 @@ def _low_pass_matrix(n: int) -> np.ndarray:
     return m
 
 
-def low_pass(image: np.ndarray) -> np.ndarray:
-    """Separable :data:`LOW_PASS` blur of a 2-D image, edges replicated."""
-    h, w = image.shape
-    return _low_pass_matrix(h) @ image @ _low_pass_matrix(w).T
+def low_pass(images: np.ndarray) -> np.ndarray:
+    """Separable :data:`LOW_PASS` blur of an (H, W) image or a (B, H, W)
+    stack, edges replicated; each image of a stack gets its own products."""
+    h, w = images.shape[-2:]
+    return _low_pass_matrix(h) @ images @ _low_pass_matrix(w).T
 
 
-def _prepare(image: np.ndarray) -> np.ndarray:
-    """Validated float64 copy of the image, low-passed for the first layer."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeError(f"expected a 2-D grayscale image, got shape {image.shape}")
-    if image.shape[0] < 8 or image.shape[1] < 8:
-        raise ShapeError(f"image {image.shape} too small for three stride-2 layers")
-    if not np.all(np.isfinite(image)):
-        raise EvaluationError("image contains non-finite pixels")
-    return low_pass(image)
+def _prepare(images) -> np.ndarray:
+    """Validated float64 image or stack, low-passed for the first layer."""
+    try:
+        x = np.asarray(images, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"images of one stack must share one shape: {exc}") from exc
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D grayscale image or a stack of them, got shape {x.shape}")
+    if x.shape[-2] < 8 or x.shape[-1] < 8:
+        raise ShapeError(f"image {x.shape[-2:]} too small for three stride-2 layers")
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    if not finite.all():
+        which = f" {int(np.argmin(finite))} of the stack" if x.ndim == 3 else ""
+        raise EvaluationError(f"image{which} contains non-finite pixels")
+    return low_pass(x)
 
 
-def encode(params: EncoderParams, image: np.ndarray):
-    """Forward pass to a (16, H/8, W/8) feature map: a graph node when the
+def encode(params: EncoderParams, images):
+    """Forward pass of an (H, W) image to a (16, H/8, W/8) feature map, or
+    of a (B, H, W) stack to (16, B, H/8, W/8): a graph node when the
     parameters are Tensors, a plain array when they are arrays."""
-    x = _prepare(image)[None, :, :]
+    x = _prepare(images)[None]
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         x = ag.conv2d(x, w, b, stride=STRIDE, pad=PAD)
@@ -110,9 +123,9 @@ def encode(params: EncoderParams, image: np.ndarray):
     return x
 
 
-def encode_array(params: EncoderParams, image: np.ndarray) -> np.ndarray:
+def encode_array(params: EncoderParams, images) -> np.ndarray:
     """:func:`encode` on the parameters' arrays: no graph is recorded."""
     return encode(
         EncoderParams([ag._data(w) for w in params.weights], [ag._data(b) for b in params.biases]),
-        image,
+        images,
     )

@@ -44,15 +44,14 @@ def init_model(
 ) -> Model:
     """Fresh model: seeded encoder, then k-means centers over its features.
 
+    The sample images share one shape; they are encoded as one stack.
+
     The same seed and sample images always produce bit-identical parameters,
     which is what lets every generation restart from the same initialization.
     """
     params = enc.init_encoder(seed)
-    rows = []
-    for img in sample_images:
-        fm = enc.encode_array(params, img)
-        rows.append(fm.reshape(fm.shape[0], -1).T)
-    features = np.concatenate(rows, axis=0)
+    fms = enc.encode_array(params, list(sample_images))
+    features = fms.reshape(fms.shape[0], -1).T  # one row per position, image by image
     centers = vlad.init_centers(features, k, seed)
     if freeze_early:
         params.freeze_all_but_last()

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autograd as ag
+from .atomic import atomic_open
 from .errors import IntegrityError, ParameterError, ShapeError
 from .regions import ALL_REGION_IDS
 from .vlad import VladParams, aggregate_regions
@@ -181,7 +182,7 @@ def parse_record(line: str) -> SoftLabelRecord:
 
 
 def write_label_file(path, records: Sequence[SoftLabelRecord]):
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(format_record(rec) + "\n")
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -321,7 +322,7 @@ def write_dataset(ds: Dataset, root: str):
 def _read_image(root: str, image_id: int) -> np.ndarray:
     path = _image_path(root, image_id)
     try:
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"missing image file {path}") from exc
     if len(raw) < 8:
@@ -335,9 +336,9 @@ def _read_image(root: str, image_id: int) -> np.ndarray:
 
 def load_dataset(root: str) -> Dataset:
     try:
-        meta = json.load(open(os.path.join(root, "world.json"), "r", encoding="ascii"))
-        manifest = open(os.path.join(root, "manifest.csv"), "r", encoding="ascii").read()
-        truth = open(os.path.join(root, "truth.csv"), "r", encoding="ascii").read()
+        meta = json.loads(Path(root, "world.json").read_text(encoding="ascii"))
+        manifest = Path(root, "manifest.csv").read_text(encoding="ascii")
+        truth = Path(root, "truth.csv").read_text(encoding="ascii")
     except OSError as exc:
         raise DatasetError(f"unreadable dataset directory {root}: {exc}") from exc
     except json.JSONDecodeError as exc:

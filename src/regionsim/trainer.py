@@ -31,9 +31,10 @@ from . import autograd as ag
 from . import encoder as enc
 from . import evaluate as ev
 from . import vlad as vlad_mod
-from .checkpoint import Checkpoint, from_model, save_checkpoint, to_model
+from .atomic import atomic_open
+from .checkpoint import PARAM_NAMES, Checkpoint, from_model, save_checkpoint, to_model
 from .config import RunConfig, config_digest
-from .errors import IntegrityError, SequencingError, ShapeError
+from .errors import EvaluationError, IntegrityError, SequencingError, ShapeError
 from .mining import (
     difficult_positives,
     easiest_positive,
@@ -57,6 +58,12 @@ from .supervision import (
     write_label_file,
 )
 from .synthcity import Dataset, GeoImage
+
+
+# Images per gradient-free encoder stack. Fixed, so that the worker count
+# never changes a stack. On 32x96 images, chunks of 8-16 encode fastest;
+# from 32 up a chunk's layer outputs no longer stay in cache.
+ENCODE_CHUNK = 16
 
 
 def params_digest(model: Model) -> str:
@@ -88,19 +95,32 @@ def encode_images(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradient-free feature maps + full descriptors for a list of images.
 
-    Per-image work is independent and results are collected in input order,
-    so the worker count can never change a downstream number.
+    Consecutive images are encoded :data:`ENCODE_CHUNK` at a time as one
+    stack, and a change of image shape starts a new chunk. The chunks
+    depend on the image list alone: BLAS may round a column at the edge of
+    its tiling differently, so a stack's composition can touch the last
+    bit of an odd-size map, and chunks that followed the worker count could
+    change a downstream number. Workers map over the chunks and results are
+    collected in input order.
     """
+    chunks: list[list[GeoImage]] = []
+    for img in images:
+        last = chunks[-1] if chunks else None
+        if last and len(last) < ENCODE_CHUNK and np.shape(last[0].pixels) == np.shape(img.pixels):
+            last.append(img)
+        else:
+            chunks.append([img])
 
-    def one(img: GeoImage):
-        fm = enc.encode_array(model.encoder, img.pixels)
-        return fm, vlad_mod.aggregate_array(model.vlad, fm)
+    def one(chunk: list[GeoImage]):
+        fms = enc.encode_array(model.encoder, np.stack([img.pixels for img in chunk]))
+        maps = list(np.ascontiguousarray(np.moveaxis(fms, 1, 0)))
+        return [(fm, vlad_mod.aggregate_array(model.vlad, fm)) for fm in maps]
 
-    if workers > 1 and len(images) > 1:
+    if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, images))
+            pairs = [p for done in pool.map(one, chunks) for p in done]
     else:
-        pairs = [one(img) for img in images]
+        pairs = [p for chunk in chunks for p in one(chunk)]
     if not pairs:
         return [], np.zeros((0, model.descriptor_dim))
     return [p[0] for p in pairs], np.stack([p[1] for p in pairs])
@@ -129,6 +149,18 @@ def sgd_step(
         g = p.grad + weight_decay * p.data
         velocities[i] = momentum * velocities[i] + g
         p.data = p.data - lr * velocities[i]
+
+
+def _require_finite(
+    loss: ag.Tensor, params: Sequence[ag.Tensor], omega: int, epoch: int, batch: int
+):
+    """Stop before a non-finite loss or gradient reaches the parameters."""
+    bad = [name for name, p in zip(PARAM_NAMES, params) if not np.all(np.isfinite(p.grad))]
+    if not np.isfinite(loss.item()) or bad:
+        raise EvaluationError(
+            f"generation {omega}, epoch {epoch}, batch {batch}: loss {loss.item()!r}, "
+            f"non-finite gradients in {bad or 'none'}"
+        )
 
 
 def _label_region_ids(cfg: RunConfig) -> tuple[int, ...]:
@@ -358,6 +390,7 @@ def train_generation(
                 model, batch, train_q, train_g, records_by_qrow, gid_to_row, cfg, omega
             )
             loss.backward()
+            _require_finite(loss, model.parameters(), omega, epoch, start // cfg.batch_tuples)
             sgd_step(model.parameters(), velocities, cfg.lr, cfg.momentum, cfg.weight_decay)
 
     if records and labels_digest(records) != label_digest:
@@ -437,6 +470,6 @@ def run_pipeline(
             )
     csv_text = ev.format_metrics_csv(rows)
     if out_dir:
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="ascii") as fh:
+        with atomic_open(os.path.join(out_dir, "metrics.csv"), "w", encoding="ascii") as fh:
             fh.write(csv_text)
     return PipelineResult(generations=results, metrics_rows=rows, metrics_csv=csv_text)

@@ -210,6 +210,20 @@ class TestConv2d:
         b = ag.constant(np.zeros(8))
         assert ag.conv2d(x, w, b, stride=2, pad=1).shape == (8, 16, 48)
 
+    def test_stack_is_one_map_per_image(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 5, 7, 9))
+        w = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        for stride, pad in [(1, 0), (2, 1)]:
+            got = ag.conv2d(x, w, b, stride, pad)
+            want = np.stack([ag.conv2d(x[:, k], w, b, stride, pad) for k in range(5)], axis=1)
+            assert got.shape == (3, 5) + want.shape[2:]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            for k in range(5):
+                oracle = naive_conv2d(x[:, k], w, b, stride, pad)
+                np.testing.assert_allclose(got[:, k], oracle, atol=1e-12)
+
     def test_rejects_channel_mismatch(self):
         x = ag.constant(np.zeros((2, 8, 8)))
         w = ag.constant(np.zeros((4, 3, 3, 3)))
@@ -253,6 +267,18 @@ class TestGradients:
     def test_conv2d_all_inputs(self):
         rng = np.random.default_rng(37)
         x = ag.parameter(rng.normal(size=(2, 6, 6)))
+        w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
+        b = ag.parameter(rng.normal(size=3))
+
+        def fn():
+            out = ag.conv2d(x, w, b, stride=2, pad=1)
+            return ag.tensor_sum(ag.mul(out, out))
+
+        assert ag.grad_check(fn, [x, w, b]) <= self.TOL
+
+    def test_conv2d_stack_all_inputs(self):
+        rng = np.random.default_rng(39)
+        x = ag.parameter(rng.normal(size=(2, 3, 5, 6)))
         w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
         b = ag.parameter(rng.normal(size=3))
 
@@ -441,6 +467,7 @@ class TestArrayInputs:
         x, w, b = rng.normal(size=(2, 7, 9)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
         for stride, pad in [(1, 0), (2, 1)]:
             self.check(ag.conv2d, x, w, b, stride=stride, pad=pad)
+            self.check(ag.conv2d, np.stack([x, -x], axis=1), w, b, stride=stride, pad=pad)
 
     def test_relu_and_softmax(self):
         rng = np.random.default_rng(73)

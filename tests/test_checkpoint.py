@@ -1,5 +1,7 @@
 """Checkpoint format tests: round-trip fidelity, header layout, corruption."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from regionsim import checkpoint as ck
 from regionsim.errors import DatasetError, IntegrityError, SequencingError
 from regionsim.model import init_model
 from regionsim.seeding import derive_rng
+from regionsim.synthcity import WorldSpec, generate_dataset, load_dataset, write_dataset
 
 
 def sample_model(seed=0):
@@ -132,3 +135,25 @@ class TestFileRoundTrip:
         assert len(rebuilt.parameters()) == 7
         assert all(p.requires_grad for p in rebuilt.parameters())
         assert all(v.dtype == np.float64 for v in vels)
+
+
+class TestFileHandles:
+    def test_loads_close_their_files(self, tmp_path):
+        spec = WorldSpec(
+            seed=1,
+            length_m=60.0,
+            n_train_queries=4,
+            n_train_gallery=8,
+            n_test_queries=4,
+            n_test_gallery=8,
+        )
+        write_dataset(generate_dataset(spec), str(tmp_path / "data"))
+        model = sample_model()
+        path = str(tmp_path / "gen1.ckpt")
+        ck.save_checkpoint(ck.from_model(model, zero_velocities(model), 1, 1, 0, "ab"), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            ds = load_dataset(str(tmp_path / "data"))
+            ck.load_checkpoint(path)
+        assert len(ds.images) == 24
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

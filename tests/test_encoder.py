@@ -104,6 +104,55 @@ class TestPaths:
         assert np.array_equal(enc.encode_array(plain, img), enc.encode_array(params, img))
 
 
+class TestStacks:
+    """A (B, H, W) stack runs one conv product per kernel offset over all
+    its images; each image's map is the one it gets when encoded alone."""
+
+    def per_image(self, params, images):
+        return np.stack([enc.encode_array(params, img) for img in images], axis=1)
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 37])
+    def test_stack_equals_single_images_bitwise(self, n):
+        params = enc.init_encoder(12)
+        images = np.random.default_rng(n).uniform(0, 1, size=(n, 32, 96))
+        out = enc.encode_array(params, images)
+        assert out.shape == (16, n, 4, 12)
+        assert np.array_equal(out, self.per_image(params, images))
+
+    @pytest.mark.parametrize("shape", [(33, 97), (17, 40)])
+    def test_odd_sizes_agree_to_rounding(self, shape):
+        # Where a map's position count is not a multiple of the BLAS tile
+        # width, edge columns of a stacked product may round differently.
+        params = enc.init_encoder(13)
+        images = np.random.default_rng(13).uniform(0, 1, size=(37,) + shape)
+        np.testing.assert_allclose(
+            enc.encode_array(params, images), self.per_image(params, images), rtol=0, atol=1e-15
+        )
+
+    def test_list_of_images_is_a_stack(self):
+        params = enc.init_encoder(14)
+        images = list(np.random.default_rng(14).uniform(0, 1, size=(3, 32, 96)))
+        assert np.array_equal(enc.encode_array(params, images), self.per_image(params, images))
+
+    def test_each_image_is_validated(self):
+        params = enc.init_encoder(15)
+        images = np.zeros((4, 16, 16))
+        images[2, 3, 3] = np.inf
+        with pytest.raises(EvaluationError, match="image 2 of the stack"):
+            enc.encode_array(params, images)
+        with pytest.raises(ShapeError):
+            enc.encode_array(params, [np.zeros((16, 16)), np.zeros((16, 24))])
+        with pytest.raises(ShapeError):
+            enc.encode_array(params, np.zeros((2, 16, 4)))
+        with pytest.raises(ShapeError):
+            enc.encode_array(params, np.zeros((2, 2, 16, 16)))
+
+    def test_low_pass_filters_each_image_alone(self):
+        images = np.random.default_rng(16).uniform(0, 1, size=(5, 9, 12))
+        want = np.stack([enc.low_pass(img) for img in images])
+        assert np.array_equal(enc.low_pass(images), want)
+
+
 class TestFreezing:
     def test_frozen_layers_keep_zero_grads(self):
         rng = np.random.default_rng(9)

@@ -9,11 +9,13 @@ from regionsim import autograd as ag
 from regionsim import checkpoint as ck
 from regionsim import trainer
 from regionsim.config import RunConfig
-from regionsim.errors import SequencingError, ShapeError
+from regionsim.encoder import encode_array
+from regionsim.errors import EvaluationError, SequencingError, ShapeError
 from regionsim.model import init_model
 from regionsim.seeding import derive_rng
 from regionsim.supervision import format_record
 from regionsim.synthcity import Dataset, WorldSpec, generate_dataset
+from regionsim.vlad import aggregate_array
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +134,49 @@ class TestEncodeImages:
         model = init_model(1, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = small_ds.split("train-gallery")[:6]
         _, descs = trainer.encode_images(model, images, workers=3)
-        from regionsim.encoder import encode_array
-        from regionsim.vlad import aggregate_array
-
         for i, img in enumerate(images):
             expect = aggregate_array(model.vlad, encode_array(model.encoder, img.pixels))
             np.testing.assert_array_equal(descs[i], expect)
+
+    def per_image(self, model, images):
+        return [
+            (fm, aggregate_array(model.vlad, fm))
+            for fm in (encode_array(model.encoder, img.pixels) for img in images)
+        ]
+
+    def test_partial_last_chunk_matches_single_images(self, small_ds):
+        # 37 images: two full chunks of 16 and a last one of 5.
+        rng = derive_rng(2, "enc-images")
+        model = init_model(2, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
+        images = small_ds.split("train-gallery")[:37]
+        fms1, descs1 = trainer.encode_images(model, images, workers=1)
+        fms3, descs3 = trainer.encode_images(model, images, workers=3)
+        assert np.array_equal(descs1, descs3)
+        assert len(fms1) == len(fms3) == len(images) == descs1.shape[0]
+        for fm1, fm3, (fm, desc), row in zip(fms1, fms3, self.per_image(model, images), descs1):
+            assert np.array_equal(fm1, fm3)
+            assert np.array_equal(fm1, fm)
+            assert np.array_equal(row, desc)
+
+    def test_shape_change_starts_a_new_chunk(self, small_ds):
+        rng = derive_rng(3, "enc-images")
+        model = init_model(3, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
+        gallery = small_ds.split("train-gallery")
+        images = [
+            replace(img, pixels=img.pixels[:, :64]) if i in (3, 4, 9) else img
+            for i, img in enumerate(gallery[:12])
+        ]
+        fms, descs = trainer.encode_images(model, images, workers=2)
+        for got, row, (fm, desc) in zip(fms, descs, self.per_image(model, images)):
+            assert np.array_equal(got, fm)
+            assert np.array_equal(row, desc)
+        assert [fm.shape for fm in fms[2:5]] == [(16, 4, 12), (16, 4, 8), (16, 4, 8)]
+
+    def test_no_images(self):
+        rng = derive_rng(4, "enc-images")
+        model = init_model(4, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
+        fms, descs = trainer.encode_images(model, [], workers=3)
+        assert fms == [] and descs.shape == (0, model.descriptor_dim)
 
 
 class TestGenerationTargets:
@@ -261,6 +300,17 @@ class TestTrainGeneration:
         ]
         res = trainer.train_generation(2, gen1, ds, small_cfg)
         assert res.stats["tuples_per_epoch"] == [len(ds.split("train-query")) - 1]
+
+    def test_non_finite_loss_stops_before_the_step(self, small_ds, small_cfg, monkeypatch):
+        real = trainer.hard_loss
+        monkeypatch.setattr(
+            trainer, "hard_loss", lambda *args: ag.scale(real(*args), float("nan"))
+        )
+        stepped = []
+        monkeypatch.setattr(trainer, "sgd_step", lambda *args: stepped.append(1))
+        with pytest.raises(EvaluationError, match="generation 1, epoch 0, batch 0: loss nan"):
+            trainer.train_generation(1, None, small_ds, small_cfg)
+        assert not stepped
 
     def test_generation_index_positive(self, small_ds, small_cfg):
         with pytest.raises(SequencingError):
