@@ -3,6 +3,8 @@
 Implements exactly the closed set of operations the retrieval model needs
 (convolution, ReLU, matmul, softmax, L2 normalization, dot products,
 soft cross-entropy, softplus) plus the shape plumbing to connect them.
+Convolution and matmul take a leading batch axis, so one node serves a
+whole stack of images.
 Backward accumulation follows the graph construction order, so repeated
 runs are bitwise deterministic.
 
@@ -127,6 +129,9 @@ class Tensor:
 
     @property
     def T(self):
+        # numpy's .T reverses every axis; only a matrix means the same here.
+        if self.ndim != 2:
+            raise ShapeError(f".T expects a matrix, got shape {self.shape}; see transpose()")
         return transpose(self)
 
     def reshape(self, shape):
@@ -217,10 +222,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D @ 2-D or 2-D @ 1-D product."""
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects (2d, 1d|2d), got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product: (m, k) @ (k, n) or (k,), and over a leading batch
+    axis, (B, m, k) @ (k, n) or (B, m, k) @ (B, k, n).
+
+    A stack is one numpy ``@`` call, which takes each of its matrices
+    through the BLAS product of the 2-D case, so slice i of the result is
+    bitwise ``a[i] @ b`` (or ``a[i] @ b[i]``). The gradient of a matrix
+    shared by the whole stack sums over the stack in one product.
+    """
+    shapes_ok = (a.ndim == 2 and b.ndim in (1, 2)) or (a.ndim == 3 and b.ndim in (2, 3))
+    if not shapes_ok or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(
+            f"matmul expects (2d, 1d|2d) or (3d, 2d|3d) with one batch, got {a.shape} @ {b.shape}"
+        )
+    if a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
@@ -230,24 +245,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a._accumulate(np.outer(g, b.data))
             if b.requires_grad:
                 b._accumulate(a.data.T @ g)
-        else:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+            return
+        if a.requires_grad:
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            if a.ndim == b.ndim:
+                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            else:
+                k, n = b.shape
+                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose expects a matrix")
+def transpose(a):
+    """Swap the last two axes: a matrix's transpose, or that of every
+    matrix of a stack. Given an array it returns the swapped array view."""
+    data = _data(a)
+    if data.ndim < 2:
+        raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {data.shape}")
+    out_data = np.swapaxes(data, -1, -2)
+    if not isinstance(a, Tensor):
+        return out_data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(np.swapaxes(g, -1, -2))
 
-    return Tensor(a.data.T, _parents=(a,), _backward=backward)
+    return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -453,12 +478,12 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
 
     Returns a (Cout, B, H', W') stack; a single (Cin, H, W) map is the
     B = 1 case and keeps its rank. Each kernel offset is one
-    ``w[:, :, i, j] @ patch`` product over all B*H'*W' output positions,
-    summed in a fixed offset order, so repeated evaluations are bitwise
-    identical. A position's sum over Cin does not depend on the other
-    images of its stack, except that BLAS may round a column at the edge of
-    its tiling differently, by an ulp or so, where H'*W' is not a multiple
-    of the tile width.
+    ``w[:, :, i, j] @ patch`` product over all B*H'*W' output positions (a
+    broadcast multiply when Cin = 1), summed in a fixed offset order, so
+    repeated evaluations are bitwise identical. A position's sum over Cin
+    does not depend on the other images of its stack, except that BLAS may
+    round a column at the edge of its tiling differently, by an ulp or so,
+    where H'*W' is not a multiple of the tile width.
     """
     xd, wdata, bd = _data(x), _data(w), _data(b)
     if xd.ndim not in (3, 4) or wdata.ndim != 4 or bd.ndim != 1:
@@ -480,7 +505,10 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
     ]
     acc = np.repeat(bd[:, None], n * h_out * w_out, axis=1)
     for i, j, at in offsets:
-        acc = acc + wdata[:, :, i, j] @ xp[at].reshape(cin, -1)
+        patch = xp[at].reshape(cin, -1)
+        # One input channel: a K = 1 product is one multiply per entry, so
+        # the broadcast product has its bits without the BLAS call.
+        acc = acc + (wdata[:, :, i, j] * patch if cin == 1 else wdata[:, :, i, j] @ patch)
     out_data = acc.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
     if not any(isinstance(t, Tensor) for t in (x, w, b)):
         return out_data

@@ -10,8 +10,8 @@ mining and evaluation, where no gradients are needed.
 Images carry a batch axis: a (B, H, W) stack of same-shape images runs
 through one conv product per kernel offset and layer, in the conv layout
 (16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Training
-graphs encode one image at a time; the gradient-free callers encode
-fixed chunks (``trainer.encode_images``).
+graphs and the gradient-free callers alike encode fixed chunks of images
+(``trainer.encode_chunks``), one stack each.
 
 The low-pass is anti-aliasing. The layers subsample by 8 in all, and the
 facade glyphs hold 2-pixel checkers, far above the rate they are sampled

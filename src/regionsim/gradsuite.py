@@ -63,6 +63,30 @@ def check_vlad_regions(seed: int = 0) -> float:
     )
 
 
+def check_vlad_regions_stack(seed: int = 0) -> float:
+    """All nine region rows of every map of a (D, 3, 3, 5) stack, through
+    the batched products."""
+    rng = derive_rng(seed, "gradsuite", "vlad-regions-stack")
+    return _check_vlad(
+        rng, (3, 3, 5), (3, 9, 4 * 6), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS)
+    )
+
+
+def check_batched_matmul(seed: int = 0) -> float:
+    """A stack times one matrix, and a stack times a stack of matrices
+    through the last-two-axes swap."""
+    rng = derive_rng(seed, "gradsuite", "batched-matmul")
+    a = ag.parameter(rng.standard_normal((3, 4, 5)))
+    m = ag.parameter(rng.standard_normal((5, 2)))
+    s = ag.parameter(rng.standard_normal((3, 2, 5)))
+    r1, r2 = rng.standard_normal((2, 3, 4, 2))
+
+    def fn():
+        return ((a @ m) * r1).sum() + ((a @ ag.transpose(s)) * r2).sum()
+
+    return ag.grad_check(fn, [a, m, s], eps=EPS)
+
+
 def check_softmax_temp(seed: int = 0) -> float:
     rng = derive_rng(seed, "gradsuite", "softmax")
     logits = ag.parameter(rng.standard_normal(9))
@@ -131,6 +155,8 @@ ALL_CHECKS = (
     ("encoder", check_encoder),
     ("vlad_aggregate", check_vlad_aggregate),
     ("vlad_regions", check_vlad_regions),
+    ("vlad_regions_stack", check_vlad_regions_stack),
+    ("batched_matmul", check_batched_matmul),
     ("softmax_temp", check_softmax_temp),
     ("soft_cross_entropy", check_soft_cross_entropy),
     ("hard_loss", check_hard_loss),

@@ -1,10 +1,12 @@
-"""Encoder + VLAD bundle and the full-image graph descriptor training uses.
+"""Encoder + VLAD bundle: parameters in checkpoint order and seeded init.
 
-Queries are always represented by their full-map descriptor
-(:func:`image_descriptor`); only gallery feature maps are decomposed into
-regions, all of a map's regions at once by ``vlad.aggregate_regions``.
-Gradient-free descriptors come from the same definitions on array leaves:
+A descriptor is ``vlad.aggregate(m.vlad, encoder.encode(m.encoder, image))``
+with gradients, or the same definitions on array leaves without:
 ``vlad.aggregate_array(m.vlad, encoder.encode_array(m.encoder, image))``.
+Queries are always represented by their full-map descriptor; only gallery
+feature maps are decomposed into regions, all of a map's regions at once by
+``vlad.aggregate_regions``. Training and ``trainer.encode_images`` run both
+on stacks of images (see ``trainer.encode_chunks``).
 """
 
 from __future__ import annotations
@@ -56,9 +58,3 @@ def init_model(
     if freeze_early:
         params.freeze_all_but_last()
     return Model(encoder=params, vlad=vlad.VladParams(centers=ag.parameter(centers)))
-
-
-def image_descriptor(model: Model, image: np.ndarray) -> ag.Tensor:
-    """Full-image descriptor with gradients."""
-    return vlad.aggregate(model.vlad, enc.encode(model.encoder, image))
-

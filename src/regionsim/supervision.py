@@ -119,16 +119,13 @@ def hard_loss(
 
     Algebraically equal to the pairwise softmax form
     -log[exp<q,p*> / (exp<q,p*> + exp<q,n>)] summed over negatives, but never
-    overflows for large scores.
+    overflows for large scores. The negatives are stacked into one matrix,
+    so the loss is one ``negs @ q - q.p``, one softplus and one sum.
     """
     if len(negative_descs) == 0:
         raise ParameterError("hard loss needs at least one negative")
-    qp = ag.dot(query_desc, positive_desc)
-    total = None
-    for neg in negative_descs:
-        term = ag.softplus(ag.sub(ag.dot(query_desc, neg), qp))
-        total = term if total is None else ag.add(total, term)
-    return total
+    negs = ag.stack_rows(negative_descs)
+    return ag.softplus(negs @ query_desc - ag.dot(query_desc, positive_desc)).sum()
 
 
 def soft_loss(student_sims: ag.Tensor, record: SoftLabelRecord) -> ag.Tensor:

@@ -43,7 +43,7 @@ from .mining import (
     plain_top_k,
     sample_negatives,
 )
-from .model import Model, image_descriptor, init_model
+from .model import Model, init_model
 from .regions import ALL_REGION_IDS, FULL_REGION
 from .seeding import derive_rng
 from .supervision import (
@@ -90,40 +90,51 @@ def quantize_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     return Checkpoint(ckpt.generation, ckpt.epoch, ckpt.seed, ckpt.config_hash, tensors)
 
 
+def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:
+    """Split a list of images into the runs that are encoded as one stack.
+
+    Each run holds at most :data:`ENCODE_CHUNK` consecutive images of one
+    shape, and a change of shape starts a new run. The runs depend on the
+    image list alone: BLAS may round a column at the edge of its tiling
+    differently, so a stack's composition can touch the last bit of an
+    odd-size map, and runs that followed anything else (such as the worker
+    count) could change a downstream number.
+    """
+    chunks: list[range] = []
+    for i, img in enumerate(pixels):
+        last = chunks[-1] if chunks else None
+        if last and len(last) < ENCODE_CHUNK and np.shape(pixels[last.start]) == np.shape(img):
+            chunks[-1] = range(last.start, i + 1)
+        else:
+            chunks.append(range(i, i + 1))
+    return chunks
+
+
 def encode_images(
     model: Model, images: Sequence[GeoImage], workers: int = 1
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradient-free feature maps + full descriptors for a list of images.
 
-    Consecutive images are encoded :data:`ENCODE_CHUNK` at a time as one
-    stack, and a change of image shape starts a new chunk. The chunks
-    depend on the image list alone: BLAS may round a column at the edge of
-    its tiling differently, so a stack's composition can touch the last
-    bit of an odd-size map, and chunks that followed the worker count could
-    change a downstream number. Workers map over the chunks and results are
-    collected in input order.
+    Each run of :func:`encode_chunks` is encoded and aggregated as one
+    stack. Workers map over the runs and results are collected in input
+    order.
     """
-    chunks: list[list[GeoImage]] = []
-    for img in images:
-        last = chunks[-1] if chunks else None
-        if last and len(last) < ENCODE_CHUNK and np.shape(last[0].pixels) == np.shape(img.pixels):
-            last.append(img)
-        else:
-            chunks.append([img])
+    pixels = [img.pixels for img in images]
 
-    def one(chunk: list[GeoImage]):
-        fms = enc.encode_array(model.encoder, np.stack([img.pixels for img in chunk]))
+    def one(chunk: range):
+        fms = enc.encode_array(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
         maps = list(np.ascontiguousarray(np.moveaxis(fms, 1, 0)))
-        return [(fm, vlad_mod.aggregate_array(model.vlad, fm)) for fm in maps]
+        return maps, vlad_mod.aggregate_array(model.vlad, fms)
 
+    chunks = encode_chunks(pixels)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = [p for done in pool.map(one, chunks) for p in done]
+            done = list(pool.map(one, chunks))
     else:
-        pairs = [p for chunk in chunks for p in one(chunk)]
-    if not pairs:
+        done = [one(chunk) for chunk in chunks]
+    if not done:
         return [], np.zeros((0, model.descriptor_dim))
-    return [p[0] for p in pairs], np.stack([p[1] for p in pairs])
+    return [fm for fms, _ in done for fm in fms], np.concatenate([descs for _, descs in done])
 
 
 def sgd_step(
@@ -239,6 +250,25 @@ def compute_generation_targets(
     return GenerationTargets(positives=positives, records=records)
 
 
+def _describe_rows(
+    model: Model, images: Sequence[GeoImage], rows: Sequence[int], region_ids: tuple[int, ...]
+) -> dict[int, tuple[ag.Tensor, ag.Tensor, int]]:
+    """Graph feature maps and region rows of ``images[r]`` for r in ``rows``.
+
+    Each run of :func:`encode_chunks` is one stacked encoder graph and one
+    ``aggregate_regions`` call. Row r maps to its chunk's (D, B, h, w)
+    feature maps, its chunk's (B, R, K*D) region rows, and its index in the
+    chunk.
+    """
+    pixels = [images[r].pixels for r in rows]
+    out = {}
+    for chunk in encode_chunks(pixels):
+        fms = enc.encode(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
+        regions = vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
+        out.update((rows[i], (fms, regions, j)) for j, i in enumerate(chunk))
+    return out
+
+
 def _batch_loss(
     model: Model,
     batch: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
@@ -249,51 +279,61 @@ def _batch_loss(
     cfg: RunConfig,
     omega: int,
 ) -> ag.Tensor:
-    """Mean loss over the batch with shared gallery sub-graphs.
+    """Mean loss over the batch, from one graph per encode chunk.
 
-    The feature map and region matrix of a gallery row are memoized, so a
-    gallery image reused by several tuples contributes one sub-graph whose
-    gradient accumulates from every consumer. A region matrix holds this
-    generation's label regions (the full map alone in generation 1);
-    negative regions, when on, come from the same set.
+    The batch's distinct query images and its distinct gallery images, each
+    in first-use order (a tuple's positives, then its negatives), are
+    encoded and aggregated chunk by chunk (:func:`encode_chunks`). Every
+    listed positive is encoded, although without soft labels or the naive
+    top-k ablation a later generation's loss reads only the first. Queries
+    get their full-map descriptor; gallery images get this generation's
+    region matrix (the full map alone in generation 1), and negative
+    regions, when on, come from the same set. Tuples read their rows out of
+    these stacks, so an image used by several tuples is one row whose
+    gradient accumulates from every consumer.
     """
     region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
-    memo: dict[int, tuple[ag.Tensor, ag.Tensor]] = {}
+    queries = _describe_rows(
+        model, train_q, list(dict.fromkeys(qrow for qrow, _, _ in batch)), (FULL_REGION,)
+    )
+    used = (row for _, pos_rows, negs in batch for row in pos_rows + negs)
+    gallery = _describe_rows(model, train_g, list(dict.fromkeys(used)), region_ids)
 
-    def gallery(grow: int) -> tuple[ag.Tensor, ag.Tensor]:
-        if grow not in memo:
-            fm = enc.encode(model.encoder, train_g[grow].pixels)
-            memo[grow] = fm, vlad_mod.aggregate_regions(model.vlad, fm, region_ids)
-        return memo[grow]
+    def regions(grow: int) -> ag.Tensor:
+        _, rows, j = gallery[grow]
+        return rows[j]
 
-    def gallery_desc(grow: int, rid: int) -> ag.Tensor:
-        return gallery(grow)[1][region_ids.index(rid)]
+    def gallery_desc(grow: int, rid: int = FULL_REGION) -> ag.Tensor:
+        _, rows, j = gallery[grow]
+        return rows[j, region_ids.index(rid)]
 
     losses = []
     for qrow, pos_rows, negs in batch:
-        q = image_descriptor(model, train_q[qrow].pixels)
+        _, rows, j = queries[qrow]
+        q = rows[j, 0]
         if omega >= 2 and cfg.use_neg_regions:
             # Region choice is a no-grad argmax; the chosen region's row of
             # the graph's region matrix then carries the gradients.
             neg_descs = []
             for nrow in negs:
+                fms, _, j = gallery[nrow]
                 rid, _ = hardest_negative_region(
-                    q.data, gallery(nrow)[0].data, model.vlad, region_ids=region_ids
+                    q.data, fms.data[:, j], model.vlad, region_ids=region_ids
                 )
                 neg_descs.append(gallery_desc(nrow, rid))
         else:
-            neg_descs = [gallery_desc(nrow, 0) for nrow in negs]
+            neg_descs = [gallery_desc(nrow) for nrow in negs]
 
         if cfg.naive_topk and omega >= 2:
             # Averaged over the top-k so the ablation trains at the same
             # loss scale as the single-positive objective.
-            terms = [hard_loss(q, gallery_desc(prow, 0), neg_descs) for prow in pos_rows]
+            terms = [hard_loss(q, gallery_desc(prow), neg_descs) for prow in pos_rows]
             tuple_loss = ag.scale(functools.reduce(ag.add, terms), 1.0 / len(pos_rows))
         else:
-            tuple_loss = hard_loss(q, gallery_desc(pos_rows[0], 0), neg_descs)
+            tuple_loss = hard_loss(q, gallery_desc(pos_rows[0]), neg_descs)
             if omega >= 2 and cfg.use_soft:
                 rec = records_by_qrow[qrow]
-                sims = student_region_sims(q, rec, lambda gid: gallery(gid_to_row[gid])[1])
+                sims = student_region_sims(q, rec, lambda gid: regions(gid_to_row[gid]))
                 tuple_loss = total_loss(tuple_loss, soft_loss(sims, rec), cfg.lam)
         losses.append(tuple_loss)
 

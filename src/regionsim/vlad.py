@@ -11,7 +11,9 @@ derived from them inside the graph so gradients reach the centers.
 syntax. Given Tensors it records the training graph; given arrays the same
 lines run on numpy alone, which is how mining, labels and evaluation call
 it. It describes any set of the nine fixed regions of a map in one pass,
-and :func:`aggregate` is its full-map case.
+or of every map of a (D, B, H, W) stack at once, and :func:`aggregate` is
+its full-map case. Training and ``trainer.encode_images`` aggregate whole
+encode chunks this way.
 """
 
 from __future__ import annotations
@@ -82,40 +84,52 @@ def init_centers(features: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def aggregate_regions(params: VladParams, fm, region_ids: Sequence[int]):
-    """Aggregate regions of a (D, H, W) feature map to unit K*D rows, (R, K*D).
+    """Aggregate regions of a (D, H, W) feature map to unit K*D rows, (R, K*D),
+    or of each map of a (D, B, H, W) stack, (B, R, K*D).
 
-    Row r describes region ``region_ids[r]``: a graph node when the map or
+    Row r describes region ``region_ids[r]``: a graph node when the maps or
     the centers are Tensors, a plain array when both are arrays. Assignment
     is per position, so one softmax serves every region and a 0/1 mask picks
     each region's residual sums. These are averaged over the region's
     positions, so the intra-normalization treats all region sizes alike.
+    A stack runs as one pass of batched products; each of its maps goes
+    through the same BLAS products as on its own, so its rows are bitwise
+    the rows of that map aggregated alone.
     """
-    if fm.ndim != 3:
-        raise ShapeError(f"expected (D, H, W) feature map, got shape {fm.shape}")
+    if fm.ndim not in (3, 4):
+        raise ShapeError(f"expected a (D, H, W) map or a (D, B, H, W) stack, got {fm.shape}")
     d = params.dim
     if fm.shape[0] != d:
         raise ShapeError(f"feature dim {fm.shape[0]} does not match centers dim {d}")
     k = params.k
-    n = fm.shape[1] * fm.shape[2]
-    mask = region_mask(fm.shape[1], fm.shape[2], tuple(region_ids))  # (N, R, 1)
+    b = fm.shape[1] if fm.ndim == 4 else 1
+    h, w = fm.shape[-2:]
+    n = h * w
+    mask = region_mask(h, w, tuple(region_ids))  # (N, R, 1)
     r = mask.shape[1]
     c = params.centers
-    x = fm.reshape((d, n)).T  # (N, D)
+    # (B, N, D): each map's (N, D) matrix keeps the transposed layout of
+    # the one-map case, so BLAS takes the same path and rounds the same.
+    x = fm.reshape((d, b * n)).T.reshape((b, n, d))
     proj = c * (2.0 * params.alpha)
     bias = (c * c).sum(axis=1) * -params.alpha
-    scores = x @ proj.T + bias  # (N, K)
-    assign = ag.softmax(scores, axis=1)
-    masked = (assign.reshape((n, 1, k)) * mask).reshape((n, r * k))  # (N, R*K)
-    weighted = (masked.T @ x).reshape((r, k, d))
-    mass = masked.sum(axis=0).reshape((r, k, 1))
+    scores = x @ proj.T + bias  # (B, N, K)
+    assign = ag.softmax(scores, axis=2)
+    masked = (assign.reshape((b, n, 1, k)) * mask).reshape((b, n, r * k))  # (B, N, R*K)
+    weighted = (ag.transpose(masked) @ x).reshape((b, r, k, d))
+    mass = masked.sum(axis=1).reshape((b, r, k, 1))
     residuals = (weighted - mass * c) * (1.0 / mask.sum(axis=0)).reshape((r, 1, 1))
-    intra = ag.l2_normalize_smooth(residuals.reshape((r * k, d)), axis=1)
-    return ag.l2_normalize(intra.reshape((r, k * d)))
+    intra = ag.l2_normalize_smooth(residuals.reshape((b * r * k, d)), axis=1)
+    rows = ag.l2_normalize(intra.reshape((b * r, k * d)))
+    return rows.reshape(fm.shape[1:-2] + (r, k * d))
 
 
 def aggregate(params: VladParams, fm):
-    """Aggregate a whole (D, H, W) feature map to a unit K*D descriptor."""
-    return aggregate_regions(params, fm, (FULL_REGION,)).reshape((params.k * params.dim,))
+    """Aggregate a whole (D, H, W) feature map to a unit K*D descriptor, or
+    each map of a (D, B, H, W) stack to a (B, K*D) row."""
+    return aggregate_regions(params, fm, (FULL_REGION,)).reshape(
+        fm.shape[1:-2] + (params.k * params.dim,)
+    )
 
 
 def aggregate_array(params: VladParams, fm: np.ndarray) -> np.ndarray:

@@ -8,7 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regionsim.mining import NEGATIVE_RADIUS_M, POSITIVE_RADIUS_M
+from regionsim import autograd as ag
+from regionsim import encoder as enc
+from regionsim import vlad
+from regionsim.mining import NEGATIVE_RADIUS_M, POSITIVE_RADIUS_M, hardest_negative_region
+from regionsim.supervision import soft_loss, student_region_sims, total_loss
 
 
 def brute_k_reciprocal(query_desc, gallery_descs, k):
@@ -100,3 +104,61 @@ def tuple_respects_geography(t, query_pos, gallery_pos, generation):
         if any(abs(gallery_pos[p] - query_pos) > POSITIVE_RADIUS_M for p in t.difficult_positives):
             return False
     return all(abs(gallery_pos[n] - query_pos) > NEGATIVE_RADIUS_M for n in t.negatives)
+
+
+def per_image_batch_loss(
+    model, batch, train_q, train_g, records_by_qrow, gid_to_row, cfg, omega, region_ids
+):
+    """The training batch loss built from one B = 1 graph per image.
+
+    Every query is encoded and aggregated alone for each of its tuples,
+    every gallery image once (memoized), and the hard loss is summed one
+    softplus term per negative. ``region_ids`` are the generation's gallery
+    regions, full map first. The stacked training graph must agree with it
+    to rounding, in value and in every parameter gradient.
+    """
+    memo = {}
+
+    def gallery(grow):
+        if grow not in memo:
+            fm = enc.encode(model.encoder, train_g[grow].pixels)
+            memo[grow] = fm, vlad.aggregate_regions(model.vlad, fm, region_ids)
+        return memo[grow]
+
+    def desc(grow, rid=0):
+        return gallery(grow)[1][region_ids.index(rid)]
+
+    def hard(q, p, negs):
+        qp = ag.dot(q, p)
+        total = ag.softplus(ag.sub(ag.dot(q, negs[0]), qp))
+        for n in negs[1:]:
+            total = ag.add(total, ag.softplus(ag.sub(ag.dot(q, n), qp)))
+        return total
+
+    losses = []
+    for qrow, pos_rows, negs in batch:
+        q = vlad.aggregate(model.vlad, enc.encode(model.encoder, train_q[qrow].pixels))
+        if omega >= 2 and cfg.use_neg_regions:
+            # The region each negative's own B = 1 map scores highest.
+            neg_descs = []
+            for n in negs:
+                rid, _ = hardest_negative_region(q.data, gallery(n)[0].data, model.vlad, region_ids)
+                neg_descs.append(desc(n, rid))
+        else:
+            neg_descs = [desc(n) for n in negs]
+        if cfg.naive_topk and omega >= 2:
+            loss = hard(q, desc(pos_rows[0]), neg_descs)
+            for prow in pos_rows[1:]:
+                loss = ag.add(loss, hard(q, desc(prow), neg_descs))
+            loss = ag.scale(loss, 1.0 / len(pos_rows))
+        else:
+            loss = hard(q, desc(pos_rows[0]), neg_descs)
+            if omega >= 2 and cfg.use_soft:
+                rec = records_by_qrow[qrow]
+                sims = student_region_sims(q, rec, lambda gid: gallery(gid_to_row[gid])[1])
+                loss = total_loss(loss, soft_loss(sims, rec), cfg.lam)
+        losses.append(loss)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ag.add(total, loss)
+    return ag.scale(total, 1.0 / len(losses))

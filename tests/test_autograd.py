@@ -224,6 +224,25 @@ class TestConv2d:
                 oracle = naive_conv2d(x[:, k], w, b, stride, pad)
                 np.testing.assert_allclose(got[:, k], oracle, atol=1e-12)
 
+    def test_single_input_channel_matches_the_product_form(self):
+        # With Cin = 1 each offset is a broadcast multiply; a K = 1 matrix
+        # product rounds every entry the same, one multiply each.
+        rng = np.random.default_rng(25)
+        for shape in [(1, 16, 32, 96), (1, 3, 7, 9), (1, 5, 8)]:
+            x = rng.normal(size=shape)
+            w = rng.normal(size=(8, 1, 3, 3))
+            b = rng.normal(size=8)
+            xs = x if x.ndim == 4 else x[:, None]
+            xp = np.pad(xs, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            h_out, w_out = (xs.shape[2] - 1) // 2 + 1, (xs.shape[3] - 1) // 2 + 1
+            acc = np.repeat(b[:, None], xs.shape[1] * h_out * w_out, axis=1)
+            for i in range(3):
+                for j in range(3):
+                    patch = xp[:, :, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2]
+                    acc = acc + w[:, :, i, j] @ patch.reshape(1, -1)
+            want = acc.reshape((8,) + x.shape[1:-2] + (h_out, w_out))
+            assert np.array_equal(ag.conv2d(x, w, b, stride=2, pad=1), want)
+
     def test_rejects_channel_mismatch(self):
         x = ag.constant(np.zeros((2, 8, 8)))
         w = ag.constant(np.zeros((4, 3, 3, 3)))
@@ -263,6 +282,18 @@ class TestGradients:
             return ag.tensor_sum(ag.matmul(m, n)) + ag.tensor_sum(ag.matmul(m, v))
 
         assert ag.grad_check(fn, [m, n, v]) <= self.TOL
+
+    def test_batched_matmul_and_axis_swap(self):
+        rng = np.random.default_rng(33)
+        a = ag.parameter(rng.normal(size=(4, 3, 5)))
+        m = ag.parameter(rng.normal(size=(5, 2)))
+        s = ag.parameter(rng.normal(size=(4, 2, 5)))
+        r = rng.normal(size=(4, 3, 2))
+
+        def fn():
+            return ((a @ m) * r).sum() + ((a @ ag.transpose(s)) * r).sum()
+
+        assert ag.grad_check(fn, [a, m, s]) <= self.TOL
 
     def test_conv2d_all_inputs(self):
         rng = np.random.default_rng(37)
@@ -507,6 +538,30 @@ class TestOperators:
         assert all(isinstance(out, ag.Tensor) for out in outs)
         assert np.array_equal((arr @ m.T).data, arr @ m.data.T)
         assert np.array_equal((arr - m).data, arr - m.data)
+
+    def test_stack_products_are_per_matrix_products(self):
+        rng = np.random.default_rng(98)
+        a = rng.normal(size=(6, 48, 16))
+        m = rng.normal(size=(16, 8))
+        s = rng.normal(size=(6, 16, 7))
+        by_matrix = (ag.constant(a) @ m).data
+        by_stack = (ag.constant(a) @ s).data
+        for i in range(6):
+            assert np.array_equal(by_matrix[i], a[i] @ m)
+            assert np.array_equal(by_stack[i], a[i] @ s[i])
+        assert np.array_equal(ag.transpose(a), np.swapaxes(a, 1, 2))
+        assert np.array_equal(ag.transpose(ag.constant(a)).data, np.swapaxes(a, 1, 2))
+
+    def test_matmul_shape_checks(self):
+        rng = np.random.default_rng(99)
+        stack = ag.constant(rng.normal(size=(3, 4, 5)))
+        for other in (rng.normal(size=5), rng.normal(size=(2, 5, 2)), rng.normal(size=(3, 4, 2))):
+            with pytest.raises(ShapeError):
+                stack @ other
+        with pytest.raises(ShapeError):
+            stack.T  # numpy would reverse all three axes
+        with pytest.raises(ShapeError):
+            ag.transpose(rng.normal(size=4))
 
     def test_matmul_and_transpose(self):
         rng = np.random.default_rng(97)

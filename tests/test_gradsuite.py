@@ -8,6 +8,8 @@ REQUIRED = {
     "encoder",
     "vlad_aggregate",
     "vlad_regions",
+    "vlad_regions_stack",
+    "batched_matmul",
     "softmax_temp",
     "soft_cross_entropy",
     "hard_loss",

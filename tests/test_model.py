@@ -33,7 +33,7 @@ class TestInitModel:
     def test_freeze_early_layers(self):
         m = mdl.init_model(2, sample_images(2), freeze_early=True)
         img = sample_images(3, n=1)[0]
-        ag.tensor_sum(mdl.image_descriptor(m, img)).backward()
+        ag.tensor_sum(vlad.aggregate(m.vlad, enc.encode(m.encoder, img))).backward()
         w1, b1, w2, b2, w3, b3, centers = m.parameters()
         for frozen in (w1, b1, w2, b2):
             assert np.all(frozen.grad == 0.0)
@@ -45,7 +45,7 @@ class TestDescriptors:
     def test_graph_and_array_paths_match_bitwise(self):
         m = mdl.init_model(4, sample_images(4))
         for img in sample_images(5, n=3):
-            graph = mdl.image_descriptor(m, img).data
+            graph = vlad.aggregate(m.vlad, enc.encode(m.encoder, img)).data
             array = vlad.aggregate_array(m.vlad, enc.encode_array(m.encoder, img))
             assert np.array_equal(graph, array)
 
@@ -94,7 +94,7 @@ class TestDescriptors:
         wts = rng.normal(size=m.descriptor_dim)
 
         def fn():
-            return ag.dot(mdl.image_descriptor(m, img), ag.constant(wts))
+            return ag.dot(vlad.aggregate(m.vlad, enc.encode(m.encoder, img)), ag.constant(wts))
 
         checked = [m.encoder.biases[0], m.encoder.biases[2], m.vlad.centers]
         assert ag.grad_check(fn, checked, eps=1e-6) <= 1e-4

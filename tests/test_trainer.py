@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracles import per_image_batch_loss
 from regionsim import autograd as ag
 from regionsim import checkpoint as ck
 from regionsim import trainer
@@ -177,6 +178,92 @@ class TestEncodeImages:
         model = init_model(4, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         fms, descs = trainer.encode_images(model, [], workers=3)
         assert fms == [] and descs.shape == (0, model.descriptor_dim)
+
+
+class TestEncodeChunks:
+    def test_runs_of_one_shape_up_to_the_chunk_size(self):
+        small, wide = np.zeros((8, 8)), np.zeros((8, 16))
+        pixels = [small] * 20 + [wide] * 3 + [small]
+        assert trainer.ENCODE_CHUNK == 16
+        want = [range(0, 16), range(16, 20), range(20, 23), range(23, 24)]
+        assert trainer.encode_chunks(pixels) == want
+        assert trainer.encode_chunks([]) == []
+
+
+class _FirstBatch(Exception):
+    """Carries the arguments of a generation's first batch loss."""
+
+
+def first_batch_args(monkeypatch, ds, cfg, omega, prev=None):
+    """The arguments ``train_generation`` passes to its first ``_batch_loss``,
+    with the model still at its initialization."""
+
+    def grab(*args):
+        raise _FirstBatch(args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(trainer, "_batch_loss", grab)
+        with pytest.raises(_FirstBatch) as caught:
+            trainer.train_generation(omega, prev, ds, cfg)
+    return caught.value.args[0]
+
+
+def loss_and_grads(model, build):
+    model.zero_grads()
+    loss = build()
+    loss.backward()
+    return loss.item(), [p.grad.copy() for p in model.parameters()]
+
+
+BATCH_CONFIGS = [
+    (1, {}),
+    (2, {}),
+    (2, {"use_regions": False}),
+    (2, {"naive_topk": True}),
+]
+
+
+class TestBatchLoss:
+    """The stacked batch graph against one B = 1 graph per image."""
+
+    def args(self, monkeypatch, small_ds, small_run, omega, kw):
+        cfg = RunConfig.create(
+            generations=2, epochs=1, k_positives=5, seed=0, workers=1, eval_out_dim=32, **kw
+        )
+        prev = small_run[0].generations[0].checkpoint if omega >= 2 else None
+        return first_batch_args(monkeypatch, small_ds, cfg, omega, prev)
+
+    @pytest.mark.parametrize("omega,kw", BATCH_CONFIGS, ids=["gen1", "full", "no_regions", "naive"])
+    def test_matches_per_image_graphs(self, monkeypatch, small_ds, small_run, omega, kw):
+        args = self.args(monkeypatch, small_ds, small_run, omega, kw)
+        model, batch, cfg = args[0], args[1], args[6]
+        assert len(batch) == cfg.batch_tuples
+        region_ids = trainer._label_region_ids(cfg) if omega >= 2 else (0,)
+        got, got_grads = loss_and_grads(model, lambda: trainer._batch_loss(*args))
+        want, want_grads = loss_and_grads(
+            model, lambda: per_image_batch_loss(*args, region_ids)
+        )
+        assert abs(got - want) <= 1e-12
+        for name, g, w in zip(ck.PARAM_NAMES, got_grads, want_grads):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+    def test_three_conv_nodes_per_encode_chunk(self, monkeypatch, small_ds, small_run):
+        args = self.args(monkeypatch, small_ds, small_run, 2, {})
+        batch = args[1]
+        seen, stack, convs = set(), [trainer._batch_loss(*args)], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+            convs += getattr(node._backward, "__qualname__", "") == "conv2d.<locals>.backward"
+        # The full config reads every positive (soft labels) and every negative.
+        n_queries = len({qrow for qrow, _, _ in batch})
+        n_gallery = len({row for _, pos_rows, negs in batch for row in pos_rows + negs})
+        chunks = -(-n_queries // trainer.ENCODE_CHUNK) + -(-n_gallery // trainer.ENCODE_CHUNK)
+        assert chunks >= 3
+        assert convs == 3 * chunks
 
 
 class TestGenerationTargets:

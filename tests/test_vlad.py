@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regionsim import autograd as ag
+from regionsim import encoder as enc
 from regionsim import vlad
 from regionsim.errors import DegenerateInputError, InitError, ShapeError
 from regionsim.regions import ALL_REGION_IDS
@@ -150,3 +151,40 @@ class TestAggregateRegions:
             return ag.tensor_sum(ag.mul(rows, ag.constant(wts)))
 
         assert ag.grad_check(fn, [params.centers, fm]) <= 1e-4
+
+
+class TestStacks:
+    """A (D, B, H, W) stack gives each map the rows it gets on its own."""
+
+    def test_encoded_stack_rows_equal_per_map_rows_bitwise(self):
+        rng = np.random.default_rng(20)
+        params = enc.init_encoder(3)
+        fms = enc.encode_array(params, rng.uniform(0.0, 1.0, size=(16, 32, 96)))
+        assert fms.shape == (16, 16, 4, 12)
+        centers = vlad.init_centers(fms.reshape(16, -1).T, vlad.DEFAULT_K, 3)
+        arrays = vlad.VladParams(centers)
+        rows = vlad.aggregate_regions(arrays, fms, ALL_REGION_IDS)
+        graph = vlad.aggregate_regions(vlad.VladParams(ag.parameter(centers)), fms, ALL_REGION_IDS)
+        descs = vlad.aggregate_array(arrays, fms)
+        assert rows.shape == (16, 9, 128) and descs.shape == (16, 128)
+        assert np.array_equal(graph.data, rows)
+        for i in range(16):
+            alone = vlad.aggregate_regions(arrays, fms[:, i], ALL_REGION_IDS)
+            assert np.array_equal(rows[i], alone)
+            assert np.array_equal(descs[i], vlad.aggregate_array(arrays, fms[:, i]))
+
+    def test_random_stacks_match_per_map_rows(self):
+        rng = np.random.default_rng(21)
+        params = make_params(k=5, d=6, seed=22).as_arrays()
+        for _ in range(10):
+            b, h, w = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 7)
+            fms = rng.normal(size=(6, b, h, w))
+            rows = vlad.aggregate_regions(params, fms, ALL_REGION_IDS)
+            assert rows.shape == (b, 9, 30)
+            for i in range(b):
+                want = vlad.aggregate_regions(params, fms[:, i], ALL_REGION_IDS)
+                np.testing.assert_allclose(rows[i], want, rtol=0, atol=1e-15)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ShapeError):
+            vlad.aggregate_array(make_params(k=3, d=4), np.zeros((4, 1, 1, 2, 2)))
