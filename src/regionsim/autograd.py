@@ -10,9 +10,10 @@ runs are bitwise deterministic.
 
 Model code is written once, in numpy operator syntax. ``Tensor`` carries
 the operators it uses, and the ops numpy has no operator for (conv2d,
-relu, softmax, both L2 normalizations) return a plain array, recording
-nothing, when no input is a Tensor. So the same forward definition builds
-the training graph on Tensors and runs on numpy alone on arrays.
+relu, softmax, transpose, stack_rows, both L2 normalizations) return a
+plain array, recording nothing, when no input is a Tensor. So the same
+forward definition builds the training graph on Tensors and runs on numpy
+alone on arrays.
 """
 
 from __future__ import annotations
@@ -287,7 +288,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def slice_view(a: Tensor, key) -> Tensor:
-    """Basic slicing; backward scatters into the sliced range."""
+    """Basic slicing; backward scatters into the sliced range. Advanced keys
+    are refused: one may repeat an element, which the scatter counts once."""
+    basic = (int, np.integer, slice, type(None), type(Ellipsis))
+    if not all(isinstance(part, basic) for part in (key if isinstance(key, tuple) else (key,))):
+        raise ShapeError(f"only int, slice, None and Ellipsis keys are supported, got {key!r}")
     out_data = a.data[key]
 
     def backward(g):
@@ -312,11 +317,14 @@ def tensor_sum(a: Tensor, axis=None) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix; row i backprops to input i."""
+def stack_rows(tensors: Sequence):
+    """Stack equal-length vectors into a matrix; row i backprops to input i.
+    Given arrays only it returns the stacked array."""
     if not tensors:
         raise ShapeError("stack_rows needs at least one vector")
-    out_data = np.stack([t.data for t in tensors], axis=0)
+    out_data = np.stack([_data(t) for t in tensors], axis=0)
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return out_data
 
     def backward(g):
         for i, t in enumerate(tensors):

@@ -4,14 +4,14 @@ A fixed 5-tap binomial low-pass, then three 3x3 stride-2 same-padded conv
 layers (1 -> 8 -> 16 -> 16 channels, ReLU between layers) turn a grayscale
 image into a (16, H/8, W/8) feature map. :func:`encode` is the one
 forward definition: with Tensor parameters it records the training graph,
-with array parameters (:func:`encode_array`) it returns a plain array for
-mining and evaluation, where no gradients are needed.
+with array parameters (:meth:`EncoderParams.as_arrays`) it returns a plain
+array for mining and evaluation, where no gradients are needed.
 
 Images carry a batch axis: a (B, H, W) stack of same-shape images runs
 through one conv product per kernel offset and layer, in the conv layout
 (16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Training
-graphs and the gradient-free callers alike encode fixed chunks of images
-(``trainer.encode_chunks``), one stack each.
+graphs and the gradient-free callers alike encode fixed chunks of images,
+one stack each, through the one loop ``trainer.describe_chunks``.
 
 The low-pass is anti-aliasing. The layers subsample by 8 in all, and the
 facade glyphs hold 2-pixel checkers, far above the rate they are sampled
@@ -52,6 +52,12 @@ class EncoderParams:
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
+
+    def as_arrays(self) -> "EncoderParams":
+        """The same parameters on array leaves: encoding records no graph."""
+        return EncoderParams(
+            [ag._data(w) for w in self.weights], [ag._data(b) for b in self.biases]
+        )
 
     def freeze_all_but_last(self):
         """Stop gradient flow into every layer except the final conv."""
@@ -125,7 +131,4 @@ def encode(params: EncoderParams, images):
 
 def encode_array(params: EncoderParams, images) -> np.ndarray:
     """:func:`encode` on the parameters' arrays: no graph is recorded."""
-    return encode(
-        EncoderParams([ag._data(w) for w in params.weights], [ag._data(b) for b in params.biases]),
-        images,
-    )
+    return encode(params.as_arrays(), images)

@@ -145,7 +145,7 @@ def check_total_loss(seed: int = 0) -> float:
     rots = np.concatenate([np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(9)])
 
     def fn():
-        sims = sup.student_region_sims(q, record, lambda g: (rots @ pos[g]).reshape((9, dim)))
+        sims = sup.region_sims(q, [(rots @ pos[g]).reshape((9, dim)) for g in record.positive_ids])
         return sup.total_loss(sup.hard_loss(q, pos[0], negs), sup.soft_loss(sims, record), 0.5)
 
     return ag.grad_check(fn, [q] + pos + negs, eps=EPS)

@@ -1,12 +1,11 @@
 """Encoder + VLAD bundle: parameters in checkpoint order and seeded init.
 
 A descriptor is ``vlad.aggregate(m.vlad, encoder.encode(m.encoder, image))``
-with gradients, or the same definitions on array leaves without:
-``vlad.aggregate_array(m.vlad, encoder.encode_array(m.encoder, image))``.
+with gradients, or the same definitions on ``m.as_arrays()`` without.
 Queries are always represented by their full-map descriptor; only gallery
 feature maps are decomposed into regions, all of a map's regions at once by
 ``vlad.aggregate_regions``. Training and ``trainer.encode_images`` run both
-on stacks of images (see ``trainer.encode_chunks``).
+on stacks of images through one loop, ``trainer.describe_chunks``.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ class Model:
 
     def parameters(self) -> list[ag.Tensor]:
         return self.encoder.tensors() + [self.vlad.centers]
+
+    def as_arrays(self) -> "Model":
+        """The same parameters on array leaves: a forward pass records no graph."""
+        return Model(self.encoder.as_arrays(), self.vlad.as_arrays())
 
     def zero_grads(self):
         for p in self.parameters():

@@ -4,15 +4,16 @@ A frozen previous-generation model scores each query against its difficult
 positives (optionally decomposed into regions); a sharp softmax over those
 scores becomes the immutable training target for the next generation. The
 student is always scored at temperature 1. Teacher and student alike score
-a positive's regions as one matrix-vector product against its (R, K*D)
-region matrix from ``vlad.aggregate_regions``. The hard loss is the pairwise
-softmax ranking loss in its numerically stable softplus form.
+a positive's regions by :func:`region_sims`: one matrix-vector product
+against its (R, K*D) region matrix from ``vlad.aggregate_regions``. The
+hard loss is the pairwise softmax ranking loss in its numerically stable
+softplus form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class SoftLabelRecord:
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise IntegrityError(f"weights sum to {sum(self.weights)!r}, not 1")
 
+    @property
+    def positive_ids(self) -> tuple[int, ...]:
+        """The gallery ids of the entries, each once, in entry order."""
+        return tuple(dict.fromkeys(gid for gid, _ in self.entries))
+
 
 def expected_entries(
     positive_ids: Sequence[int], region_ids: Sequence[int]
@@ -67,6 +73,13 @@ def expected_entries(
     """Normative entry order: each positive in rank order, full image first,
     then its sub-regions."""
     return tuple((int(p), int(r)) for p in positive_ids for r in region_ids)
+
+
+def region_sims(query_desc, positive_regions):
+    """Similarity of the query to every region of every positive, in entry
+    order: one ``m @ query_desc`` per (R, K*D) region matrix m, flattened to
+    (P*R,). Graph nodes in give a graph node out; arrays give an array."""
+    return ag.stack_rows([m @ query_desc for m in positive_regions]).reshape((-1,))
 
 
 def region_soft_labels(
@@ -83,14 +96,19 @@ def region_soft_labels(
 
     The query is never decomposed; it enters only as a descriptor.
     ``region_ids=(0,)`` gives image-level targets over the full positives.
+    The positives share one map shape and are aggregated as one
+    (D, P, h, w) stack.
     """
     if len(positive_ids) == 0:
         raise ParameterError("need at least one positive")
     if len(positive_ids) != len(positive_fms):
         raise ShapeError("one feature map per positive id is required")
-    params = params.as_arrays()
-    sims = [aggregate_regions(params, fm, region_ids) @ query_desc for fm in positive_fms]
-    weights = ag.softmax_temp(np.concatenate(sims), tau).data
+    shapes = {np.shape(fm) for fm in positive_fms}
+    if len(shapes) > 1:
+        raise ShapeError(f"positive feature maps differ in shape: {sorted(shapes)}")
+    stack = np.stack(positive_fms, axis=1)
+    sims = region_sims(query_desc, aggregate_regions(params.as_arrays(), stack, region_ids))
+    weights = ag.softmax_temp(sims, tau).data
     return SoftLabelRecord(
         query_id=query_id,
         generation=generation,
@@ -102,11 +120,7 @@ def region_soft_labels(
 
 def validate_record(record: SoftLabelRecord, region_ids: Sequence[int]):
     """Entry order must match the normative per-positive layout exactly."""
-    pids = []
-    for gid, _ in record.entries:
-        if gid not in pids:
-            pids.append(gid)
-    if record.entries != expected_entries(pids, region_ids):
+    if record.entries != expected_entries(record.positive_ids, region_ids):
         raise IntegrityError(f"label entries for query {record.query_id} are out of order")
 
 
@@ -188,18 +202,3 @@ def read_label_file(path) -> list[SoftLabelRecord]:
     with open(path, "r", encoding="ascii") as fh:
         return [parse_record(line) for line in fh if line.strip()]
 
-
-def student_region_sims(
-    query_desc: ag.Tensor,
-    record: SoftLabelRecord,
-    regions_fn: Callable[[int], ag.Tensor],
-) -> ag.Tensor:
-    """The student's similarity for every record entry, in order.
-
-    ``regions_fn(gallery_id)`` returns the student-side (R, K*D) region
-    matrix of that positive, one row per region of the record in entry
-    order; gradients flow through it and the query.
-    """
-    positive_ids = dict.fromkeys(gid for gid, _ in record.entries)
-    sims = [regions_fn(gid) @ query_desc for gid in positive_ids]
-    return ag.stack_rows(sims).reshape((-1,))

@@ -334,6 +334,20 @@ def _read_image(root: str, image_id: int) -> np.ndarray:
     return payload.reshape(h, w).copy()
 
 
+def _csv_rows(text: str, name: str, types: tuple) -> list[tuple]:
+    """Each data line's fields, converted by ``types``; a malformed line
+    raises DatasetError. The header and blank lines are skipped."""
+    rows = []
+    for number, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rows.append(tuple(t(f) for t, f in zip(types, line.split(","), strict=True)))
+        except ValueError as exc:
+            raise DatasetError(f"malformed {name} line {number} {line[:60]!r}: {exc}") from exc
+    return rows
+
+
 def load_dataset(root: str) -> Dataset:
     try:
         meta = json.loads(Path(root, "world.json").read_text(encoding="ascii"))
@@ -350,19 +364,9 @@ def load_dataset(root: str) -> Dataset:
     if meta.get("world_key") != world_key:
         raise DatasetError("world.json spec does not match its recorded key")
 
-    truth_rows: dict[int, tuple[float, int]] = {}
-    for line in truth.splitlines()[1:]:
-        if not line.strip():
-            continue
-        sid, sx, sh = line.split(",")
-        truth_rows[int(sid)] = (float(sx), int(sh))
-
+    truth_rows = {row[0]: row[1:] for row in _csv_rows(truth, "truth.csv", (int, float, int))}
     images = []
-    for line in manifest.splitlines()[1:]:
-        if not line.strip():
-            continue
-        sid, sx, split = line.split(",")
-        image_id = int(sid)
+    for image_id, reported_x, split in _csv_rows(manifest, "manifest.csv", (int, float, str)):
         if split not in SPLITS:
             raise DatasetError(f"unknown split {split!r} in manifest")
         if image_id not in truth_rows:
@@ -373,7 +377,7 @@ def load_dataset(root: str) -> Dataset:
                 id=image_id,
                 pixels=_read_image(root, image_id),
                 true_x=true_x,
-                reported_x=float(sx),
+                reported_x=reported_x,
                 heading=heading,
                 split=split,
                 world_key=world_key,

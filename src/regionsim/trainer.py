@@ -51,9 +51,9 @@ from .supervision import (
     SoftLabelRecord,
     format_record,
     hard_loss,
+    region_sims,
     region_soft_labels,
     soft_loss,
-    student_region_sims,
     total_loss,
     write_label_file,
 )
@@ -110,31 +110,36 @@ def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:
     return chunks
 
 
-def encode_images(
-    model: Model, images: Sequence[GeoImage], workers: int = 1
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradient-free feature maps + full descriptors for a list of images.
-
-    Each run of :func:`encode_chunks` is encoded and aggregated as one
-    stack. Workers map over the runs and results are collected in input
-    order.
-    """
+def describe_chunks(
+    model: Model, images: Sequence[GeoImage], region_ids: Sequence[int], workers: int = 1
+):
+    """The one loop from images to feature maps and region rows: for each
+    run of :func:`encode_chunks`, in order, (run, its (D, B, h, w) maps, its
+    (B, R, K*D) ``aggregate_regions`` rows). Tensor parameters give graph
+    nodes, array parameters (``model.as_arrays()``) give arrays."""
     pixels = [img.pixels for img in images]
 
     def one(chunk: range):
-        fms = enc.encode_array(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
-        maps = list(np.ascontiguousarray(np.moveaxis(fms, 1, 0)))
-        return maps, vlad_mod.aggregate_array(model.vlad, fms)
+        fms = enc.encode(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
+        return chunk, fms, vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
 
     chunks = encode_chunks(pixels)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(one, chunks))
-    else:
-        done = [one(chunk) for chunk in chunks]
+            return list(pool.map(one, chunks))
+    return [one(chunk) for chunk in chunks]
+
+
+def encode_images(
+    model: Model, images: Sequence[GeoImage], workers: int = 1
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradient-free feature maps (views of their chunk's stack) + full
+    descriptors for a list of images, by :func:`describe_chunks`."""
+    done = describe_chunks(model.as_arrays(), images, (FULL_REGION,), workers)
     if not done:
         return [], np.zeros((0, model.descriptor_dim))
-    return [fm for fms, _ in done for fm in fms], np.concatenate([descs for _, descs in done])
+    maps = [fm for _, fms, _ in done for fm in np.moveaxis(fms, 1, 0)]
+    return maps, np.concatenate([rows[:, 0] for _, _, rows in done])
 
 
 def sgd_step(
@@ -250,25 +255,6 @@ def compute_generation_targets(
     return GenerationTargets(positives=positives, records=records)
 
 
-def _describe_rows(
-    model: Model, images: Sequence[GeoImage], rows: Sequence[int], region_ids: tuple[int, ...]
-) -> dict[int, tuple[ag.Tensor, ag.Tensor, int]]:
-    """Graph feature maps and region rows of ``images[r]`` for r in ``rows``.
-
-    Each run of :func:`encode_chunks` is one stacked encoder graph and one
-    ``aggregate_regions`` call. Row r maps to its chunk's (D, B, h, w)
-    feature maps, its chunk's (B, R, K*D) region rows, and its index in the
-    chunk.
-    """
-    pixels = [images[r].pixels for r in rows]
-    out = {}
-    for chunk in encode_chunks(pixels):
-        fms = enc.encode(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
-        regions = vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
-        out.update((rows[i], (fms, regions, j)) for j, i in enumerate(chunk))
-    return out
-
-
 def _batch_loss(
     model: Model,
     batch: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
@@ -283,7 +269,7 @@ def _batch_loss(
 
     The batch's distinct query images and its distinct gallery images, each
     in first-use order (a tuple's positives, then its negatives), are
-    encoded and aggregated chunk by chunk (:func:`encode_chunks`). Every
+    encoded and aggregated chunk by chunk (:func:`describe_chunks`). Every
     listed positive is encoded, although without soft labels or the naive
     top-k ablation a later generation's loss reads only the first. Queries
     get their full-map descriptor; gallery images get this generation's
@@ -293,11 +279,15 @@ def _batch_loss(
     gradient accumulates from every consumer.
     """
     region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
-    queries = _describe_rows(
-        model, train_q, list(dict.fromkeys(qrow for qrow, _, _ in batch)), (FULL_REGION,)
-    )
+
+    def describe(split: list[GeoImage], rows: list[int], rids: tuple[int, ...]):
+        # Row r -> (its chunk's feature maps, its chunk's region rows, its index).
+        done = describe_chunks(model, [split[r] for r in rows], rids)
+        return {rows[i]: (fms, descs, j) for run, fms, descs in done for j, i in enumerate(run)}
+
+    queries = describe(train_q, list(dict.fromkeys(q for q, _, _ in batch)), (FULL_REGION,))
     used = (row for _, pos_rows, negs in batch for row in pos_rows + negs)
-    gallery = _describe_rows(model, train_g, list(dict.fromkeys(used)), region_ids)
+    gallery = describe(train_g, list(dict.fromkeys(used)), region_ids)
 
     def regions(grow: int) -> ag.Tensor:
         _, rows, j = gallery[grow]
@@ -333,7 +323,7 @@ def _batch_loss(
             tuple_loss = hard_loss(q, gallery_desc(pos_rows[0]), neg_descs)
             if omega >= 2 and cfg.use_soft:
                 rec = records_by_qrow[qrow]
-                sims = student_region_sims(q, rec, lambda gid: regions(gid_to_row[gid]))
+                sims = region_sims(q, [regions(gid_to_row[g]) for g in rec.positive_ids])
                 tuple_loss = total_loss(tuple_loss, soft_loss(sims, rec), cfg.lam)
         losses.append(tuple_loss)
 

@@ -12,8 +12,8 @@ syntax. Given Tensors it records the training graph; given arrays the same
 lines run on numpy alone, which is how mining, labels and evaluation call
 it. It describes any set of the nine fixed regions of a map in one pass,
 or of every map of a (D, B, H, W) stack at once, and :func:`aggregate` is
-its full-map case. Training and ``trainer.encode_images`` aggregate whole
-encode chunks this way.
+its full-map case. ``trainer.describe_chunks`` aggregates whole encode
+chunks this way, and soft labels a query's positives as one stack.
 """
 
 from __future__ import annotations

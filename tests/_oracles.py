@@ -12,7 +12,14 @@ from regionsim import autograd as ag
 from regionsim import encoder as enc
 from regionsim import vlad
 from regionsim.mining import NEGATIVE_RADIUS_M, POSITIVE_RADIUS_M, hardest_negative_region
-from regionsim.supervision import soft_loss, student_region_sims, total_loss
+from regionsim.regions import ALL_REGION_IDS
+from regionsim.supervision import (
+    SoftLabelRecord,
+    expected_entries,
+    region_sims,
+    soft_loss,
+    total_loss,
+)
 
 
 def brute_k_reciprocal(query_desc, gallery_descs, k):
@@ -68,6 +75,24 @@ def literal_region_blocks(fm):
         7: fm[:, h - hh : h, 0:hw],
         8: fm[:, h - hh : h, w - hw : w],
     }
+
+
+def per_positive_soft_labels(
+    query_desc, positive_ids, positive_fms, params, tau, generation, query_id=-1,
+    region_ids=ALL_REGION_IDS,
+):
+    """Soft labels with one ``aggregate_regions`` call per positive map, its
+    region sims as one matrix-vector product each, joined in rank order."""
+    params = params.as_arrays()
+    sims = [vlad.aggregate_regions(params, fm, region_ids) @ query_desc for fm in positive_fms]
+    weights = ag.softmax_temp(np.concatenate(sims), tau).data
+    return SoftLabelRecord(
+        query_id=query_id,
+        generation=generation,
+        tau=tau,
+        entries=expected_entries(positive_ids, region_ids),
+        weights=tuple(float(w) for w in weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -155,7 +180,7 @@ def per_image_batch_loss(
             loss = hard(q, desc(pos_rows[0]), neg_descs)
             if omega >= 2 and cfg.use_soft:
                 rec = records_by_qrow[qrow]
-                sims = student_region_sims(q, rec, lambda gid: gallery(gid_to_row[gid])[1])
+                sims = region_sims(q, [gallery(gid_to_row[g])[1] for g in rec.positive_ids])
                 loss = total_loss(loss, soft_loss(sims, rec), cfg.lam)
         losses.append(loss)
     total = losses[0]

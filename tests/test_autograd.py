@@ -515,12 +515,44 @@ class TestArrayInputs:
         self.check(ag.l2_normalize_smooth, x, axis=1)
         self.check(ag.l2_normalize_smooth, x)
 
+    def test_stack_rows(self):
+        rng = np.random.default_rng(89)
+        self.check(lambda *rows: ag.stack_rows(rows), *rng.normal(size=(3, 5)))
+
     def test_mixed_inputs_record_a_node(self):
         rng = np.random.default_rng(83)
         x = rng.normal(size=(2, 6, 6))
         w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
         out = ag.conv2d(x, w, np.zeros(3), stride=2, pad=1)
         assert isinstance(out, ag.Tensor) and out.requires_grad
+
+
+class TestSliceKeys:
+    """``Tensor[key]`` takes basic keys only: an advanced key may repeat an
+    element, and the scatter in backward would count that element once."""
+
+    def test_advanced_keys_are_rejected(self):
+        a = ag.parameter(np.array([[1.0, 2.0, 3.0]]))
+        for key in ([0, 0], np.array([0, 0]), (0, [1, 1]), np.array([[True, False, True]])):
+            with pytest.raises(ShapeError):
+                a[key]
+
+    def test_basic_keys_pass_grad_check(self):
+        rng = np.random.default_rng(97)
+        x = ag.parameter(rng.normal(size=(4, 3, 5)))
+        keys = [
+            1, -1, np.int64(2), slice(1, None, 2), (slice(None), 0), (Ellipsis, 3),
+            (None, 2, slice(None, None, -1)), (0, None, Ellipsis), (slice(0, 3), 1, slice(1, 4)),
+        ]
+        readouts = [rng.normal(size=np.empty((4, 3, 5))[key].shape) for key in keys]
+
+        def fn():
+            total = ag.constant(0.0)
+            for key, r in zip(keys, readouts):
+                total = total + (x[key] * r).sum()
+            return total
+
+        assert ag.grad_check(fn, [x]) <= 1e-6
 
 
 class TestOperators:

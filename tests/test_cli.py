@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -137,6 +138,17 @@ class TestExitCodes:
 
     def test_missing_labels_file_is_io_error(self):
         assert main(["labels", "--labels", "/nonexistent.txt"]) == 4
+
+    def test_malformed_manifest_line_is_io_error(self, run_dir, data_dir, tmp_path, capsys):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        manifest = bad / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace("\n", ",7\n")  # a fourth field on the first data line
+        manifest.write_text("".join(lines))
+        path = os.path.join(run_dir, "labels_gen2.txt")
+        assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
+        assert "manifest.csv line 2" in capsys.readouterr().err
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

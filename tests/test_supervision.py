@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import per_positive_soft_labels
 from regionsim import autograd as ag
 from regionsim import supervision as sup
 from regionsim import vlad
-from regionsim.errors import IntegrityError, ParameterError
+from regionsim.encoder import encode_array
+from regionsim.errors import IntegrityError, ParameterError, ShapeError
+from regionsim.model import init_model
 from regionsim.regions import ALL_REGION_IDS
 
 
@@ -126,6 +129,38 @@ class TestRegionSoftLabels:
         assert rec.entries == ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4))
         sup.validate_record(rec, sup.HALVES_ONLY_IDS)
 
+    def test_matches_per_positive_oracle_on_encodings(self):
+        rng = np.random.default_rng(218)
+        images = rng.uniform(0.0, 1.0, size=(10, 32, 96))
+        model = init_model(5, images[:4])
+        fms = [encode_array(model.encoder, img) for img in images[4:9]]
+        q = vlad.aggregate_array(model.vlad, encode_array(model.encoder, images[9]))
+        for region_ids in (ALL_REGION_IDS, sup.HALVES_ONLY_IDS, (0,)):
+            args = (q, [4, 1, 8, 0, 6], fms, model.vlad, 0.06, 2)
+            got = sup.region_soft_labels(*args, query_id=3, region_ids=region_ids)
+            want = per_positive_soft_labels(*args, query_id=3, region_ids=region_ids)
+            assert got == want
+
+    def test_matches_per_positive_oracle_on_odd_sizes(self):
+        rng = np.random.default_rng(216)
+        for _ in range(20):
+            params = vlad.VladParams(centers=ag.parameter(rng.normal(size=(3, 5))), alpha=3.0)
+            h, w = (int(v) for v in rng.integers(1, 8, size=2))
+            fms = [rng.normal(size=(5, h, w)) for _ in range(int(rng.integers(1, 7)))]
+            q = unit_rows(rng, 1, 15)[0]
+            ids = list(range(len(fms)))
+            got = sup.region_soft_labels(q, ids, fms, params, 0.07, 1)
+            want = per_positive_soft_labels(q, ids, fms, params, 0.07, 1)
+            assert got.entries == want.entries
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-15)
+
+    def test_rejects_positives_of_different_shapes(self):
+        params = self.make_params(4)
+        rng = np.random.default_rng(217)
+        fms = [rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 8))]
+        with pytest.raises(ShapeError):
+            sup.region_soft_labels(unit_rows(rng, 1, 12)[0], [0, 1], fms, params, 0.07, 1)
+
     def test_validate_rejects_shuffled_entries(self):
         rec = sup.SoftLabelRecord(
             query_id=0,
@@ -138,7 +173,7 @@ class TestRegionSoftLabels:
             sup.validate_record(rec, (0, 1))
 
 
-class TestStudentRegionSims:
+class TestRegionSims:
     def setup(self, seed):
         rng = np.random.default_rng(seed)
         q = ag.parameter(unit_rows(rng, 1, 8)[0])
@@ -154,7 +189,7 @@ class TestStudentRegionSims:
 
     def test_matches_per_entry_dot_products(self):
         q, mats, rec = self.setup(210)
-        sims = sup.student_region_sims(q, rec, lambda gid: mats[gid])
+        sims = sup.region_sims(q, [mats[gid] for gid in rec.positive_ids])
         want = [float(mats[gid].data[rid] @ q.data) for gid, rid in rec.entries]
         assert sims.shape == (10,)
         np.testing.assert_allclose(sims.data, want, rtol=0, atol=1e-15)
@@ -164,16 +199,32 @@ class TestStudentRegionSims:
         wts = np.random.default_rng(212).normal(size=10)
 
         def fn():
-            sims = sup.student_region_sims(q, rec, lambda gid: mats[gid])
+            sims = sup.region_sims(q, [mats[gid] for gid in rec.positive_ids])
             return ag.dot(sims, ag.constant(wts))
 
         assert ag.grad_check(fn, [q, *mats.values()]) <= 1e-4
 
     def test_short_region_matrix_is_a_length_mismatch(self):
         q, mats, rec = self.setup(213)
-        sims = sup.student_region_sims(q, rec, lambda gid: mats[gid][0:4])
+        sims = sup.region_sims(q, [mats[gid][0:4] for gid in rec.positive_ids])
         with pytest.raises(IntegrityError):
             sup.soft_loss(sims, rec)
+
+    def test_arrays_give_the_tensor_bits(self):
+        q, mats, rec = self.setup(214)
+        arrays = [mats[gid].data for gid in rec.positive_ids]
+        got = sup.region_sims(q.data, arrays)
+        want = sup.region_sims(q, [mats[gid] for gid in rec.positive_ids])
+        assert isinstance(got, np.ndarray) and isinstance(want, ag.Tensor)
+        assert np.array_equal(got, want.data)
+        # A (P, R, K*D) stack is a sequence of region matrices too.
+        assert np.array_equal(sup.region_sims(q.data, np.stack(arrays)), got)
+
+    def test_positive_ids_keep_entry_order(self):
+        _, _, rec = self.setup(215)
+        assert rec.positive_ids == (7, 3)
+        rec = sup.SoftLabelRecord(0, 1, 0.07, ((9, 0), (2, 0), (9, 1), (4, 0)), (0.25,) * 4)
+        assert rec.positive_ids == (9, 2, 4)
 
 
 class TestHardLoss:

@@ -241,6 +241,24 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             sc.load_dataset(root)
 
+    @pytest.mark.parametrize("name", ["manifest.csv", "truth.csv"])
+    @pytest.mark.parametrize("change", ["extra field", "missing field", "non-numeric"])
+    def test_load_rejects_malformed_csv_line(self, tmp_path, name, change):
+        ds = sc.generate_dataset(small_spec(18))
+        root = tmp_path / "world"
+        sc.write_dataset(ds, str(root))
+        path = root / name
+        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+        fields = lines[3].rstrip("\n").split(",")
+        lines[3] = ",".join({
+            "extra field": fields + ["7"],
+            "missing field": fields[:2],
+            "non-numeric": fields[:1] + ["east"] + fields[2:],
+        }[change]) + "\n"
+        path.write_text("".join(lines), encoding="ascii")
+        with pytest.raises(DatasetError, match=f"{name} line 4"):
+            sc.load_dataset(str(root))
+
     def test_load_rejects_missing_directory(self, tmp_path):
         with pytest.raises(DatasetError):
             sc.load_dataset(str(tmp_path / "nope"))

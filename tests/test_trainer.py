@@ -180,6 +180,25 @@ class TestEncodeImages:
         assert fms == [] and descs.shape == (0, model.descriptor_dim)
 
 
+class TestDescribeChunks:
+    def test_graph_and_array_paths_give_the_same_bits(self, small_ds):
+        # 20 images: a chunk of 16 and one of 4, with regions of each map.
+        rng = derive_rng(5, "enc-images")
+        model = init_model(5, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
+        images = small_ds.split("train-gallery")[:20]
+        region_ids = (0, 3, 8)
+        graph = trainer.describe_chunks(model, images, region_ids)
+        arrays = trainer.describe_chunks(model.as_arrays(), images, region_ids, workers=2)
+        assert [run for run, _, _ in graph] == [range(0, 16), range(16, 20)]
+        assert [run for run, _, _ in arrays] == [range(0, 16), range(16, 20)]
+        for (run, fms, rows), (_, fms_a, rows_a) in zip(graph, arrays):
+            assert isinstance(fms, ag.Tensor) and isinstance(rows, ag.Tensor)
+            assert isinstance(fms_a, np.ndarray) and isinstance(rows_a, np.ndarray)
+            assert fms.shape == (16, len(run), 4, 12)
+            assert rows.shape == (len(run), 3, model.descriptor_dim)
+            assert np.array_equal(fms.data, fms_a) and np.array_equal(rows.data, rows_a)
+
+
 class TestEncodeChunks:
     def test_runs_of_one_shape_up_to_the_chunk_size(self):
         small, wide = np.zeros((8, 8)), np.zeros((8, 16))
