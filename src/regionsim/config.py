@@ -1,14 +1,19 @@
 """Run configuration: typed defaults, dotted-key config files, digests.
 
-Config files are flat ``section.key = value`` lines (``#`` comments). Every
-key has a typed default below; unknown keys are errors so typos surface
-immediately. Command-line flags override file values, and the effective
-config is hashed into checkpoints and provenance records.
+Config files are flat ``section.key = value`` lines (``#`` comments). The
+schema is the two dataclasses: each field of ``WorldSpec`` is a
+``world.<field>`` key and each field of :class:`RunConfig` a
+``train.<field>`` key (six are renamed, see ``_KEY_TO_FIELD``), parsed as
+the field's declared type and defaulting to its default. Unknown keys are
+errors so typos surface immediately. Command-line flags override file
+values, and the effective config is hashed into checkpoints and provenance
+records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -102,15 +107,8 @@ class RunConfig:
 
     def canonical_lines(self) -> list[str]:
         """Effective config as dotted-key lines the parser accepts back."""
-        out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name == "workers":
-                continue  # execution detail; results must not depend on it
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(f"{x:.9g}" for x in v)
-            out.append(f"{_FIELD_TO_KEY.get(f.name, 'train.' + f.name)} = {v}")
-        return out
+        # workers is an execution detail; results must not depend on it.
+        return _canonical_lines(self, "train", skip=("workers",))
 
 
 def config_digest(cfg: RunConfig, world_key: str = "") -> str:
@@ -120,48 +118,12 @@ def config_digest(cfg: RunConfig, world_key: str = "") -> str:
 
 def world_canonical_lines(spec: WorldSpec) -> list[str]:
     """World fields in the same dotted-key form the config parser accepts."""
-    return [f"{key} = {getattr(spec, key.split('.', 1)[1])}" for key in sorted(_WORLD_KEYS)]
+    return _canonical_lines(spec, "world")
 
 
-# Dotted-key schema: maps file keys onto WorldSpec and RunConfig fields.
-
-_WORLD_KEYS = {
-    "world.seed": int,
-    "world.length_m": float,
-    "world.window_m": float,
-    "world.image_height": int,
-    "world.image_width": int,
-    "world.noise_sigma_m": float,
-    "world.heading_balance": float,
-    "world.n_train_queries": int,
-    "world.n_train_gallery": int,
-    "world.n_test_queries": int,
-    "world.n_test_gallery": int,
-}
-
-_TRAIN_KEYS = {
-    "train.generations": int,
-    "train.epochs": int,
-    "train.batch_tuples": int,
-    "train.k_positives": int,
-    "train.n_negatives": int,
-    "train.lambda": float,
-    "train.taus": "floats",
-    "train.lr": float,
-    "train.momentum": float,
-    "train.weight_decay": float,
-    "train.seed": int,
-    "train.workers": int,
-    "train.freeze_early": bool,
-    "train.regions": bool,
-    "train.quarters": bool,
-    "train.neg_regions": bool,
-    "train.soft": bool,
-    "train.const_tau": bool,
-    "train.naive_topk": bool,
-    "eval.out_dim": int,
-    "train.center_init_images": int,
-}
+# Dotted-key schema. Each WorldSpec field is ``world.<field>`` and each
+# RunConfig field ``train.<field>``, apart from the renames below; a key's
+# value is parsed as its field's declared type.
 
 _KEY_TO_FIELD = {
     "train.lambda": "lam",
@@ -172,7 +134,35 @@ _KEY_TO_FIELD = {
     "eval.out_dim": "eval_out_dim",
 }
 
-_FIELD_TO_KEY = {field: key for key, field in _KEY_TO_FIELD.items()}
+_FIELD_TO_KEY = {f"train.{field}": key for key, field in _KEY_TO_FIELD.items()}
+
+
+def _schema(cls, section: str) -> dict:
+    """Dotted key -> (field name, declared type) for each field of ``cls``,
+    in field-name order."""
+    types = typing.get_type_hints(cls)
+    schema = {}
+    for f in sorted(fields(cls), key=lambda f: f.name):
+        key = f"{section}.{f.name}"
+        schema[_FIELD_TO_KEY.get(key, key)] = (f.name, types[f.name])
+    return schema
+
+
+_SECTIONS = {"world": _schema(WorldSpec, "world"), "train": _schema(RunConfig, "train")}
+_KNOWN = {key: kind for schema in _SECTIONS.values() for key, (_, kind) in schema.items()}
+
+
+def _canonical_lines(obj, section: str, skip: tuple[str, ...] = ()) -> list[str]:
+    """``key = value`` lines for a config dataclass, in field-name order."""
+    out = []
+    for key, (name, _) in _SECTIONS[section].items():
+        if name in skip:
+            continue
+        v = getattr(obj, name)
+        if isinstance(v, tuple):
+            v = ",".join(f"{x:.9g}" for x in v)
+        out.append(f"{key} = {v}")
+    return out
 
 
 def _parse_value(key: str, text: str, kind):
@@ -184,7 +174,7 @@ def _parse_value(key: str, text: str, kind):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if kind == "floats":
+        if typing.get_origin(kind) is tuple:
             return tuple(float(t) for t in text.split(",") if t.strip())
         return kind(text)
     except ValueError as exc:
@@ -193,8 +183,6 @@ def _parse_value(key: str, text: str, kind):
 
 def parse_config_text(text: str) -> dict:
     """Flat dotted keys to typed values; unknown keys are config errors."""
-    known = dict(_WORLD_KEYS)
-    known.update(_TRAIN_KEYS)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,9 +192,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _KNOWN:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, val, known[key])
+        values[key] = _parse_value(key, val, _KNOWN[key])
     return values
 
 
@@ -218,21 +206,17 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
+def _pick(values: dict, section: str) -> dict:
+    """Field keyword arguments for one section's keys present in ``values``."""
+    return {name: values[key] for key, (name, _) in _SECTIONS[section].items() if key in values}
+
+
 def world_spec_from(values: dict) -> WorldSpec:
-    kw = {}
-    for key, _ in _WORLD_KEYS.items():
-        if key in values:
-            kw[key.split(".", 1)[1]] = values[key]
     try:
-        return WorldSpec(**kw)
+        return WorldSpec(**_pick(values, "world"))
     except Exception as exc:
         raise ConfigError(f"invalid world spec: {exc}") from exc
 
 
 def run_config_from(values: dict) -> RunConfig:
-    kw = {}
-    for key in _TRAIN_KEYS:
-        if key in values:
-            field = _KEY_TO_FIELD.get(key, key.split(".", 1)[1])
-            kw[field] = values[key]
-    return RunConfig.create(**kw)
+    return RunConfig.create(**_pick(values, "train"))

@@ -1,6 +1,8 @@
 """Fixed spatial decomposition of feature maps into halves and quarters.
 
-Region ids: 0 full map, 1 left, 2 right, 3 top, 4 bottom, 5 top-left,
+:data:`REGION_LAYOUT` is the one table of the layout: it gives each region
+id its row part and its column part, each the whole axis or its first or
+second half. Ids: 0 full map, 1 left, 2 right, 3 top, 4 bottom, 5 top-left,
 6 top-right, 7 bottom-left, 8 bottom-right. For odd extents the two halves
 share the middle row/column: the first half takes [0, ceil(n/2)) and the
 second [floor(n/2), n), so both always cover at least half the map.
@@ -17,33 +19,42 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
+WHOLE, FIRST_HALF, SECOND_HALF = "whole", "first half", "second half"
+
+# Region id -> (row part, column part).
+REGION_LAYOUT = {
+    0: (WHOLE, WHOLE),
+    1: (WHOLE, FIRST_HALF),
+    2: (WHOLE, SECOND_HALF),
+    3: (FIRST_HALF, WHOLE),
+    4: (SECOND_HALF, WHOLE),
+    5: (FIRST_HALF, FIRST_HALF),
+    6: (FIRST_HALF, SECOND_HALF),
+    7: (SECOND_HALF, FIRST_HALF),
+    8: (SECOND_HALF, SECOND_HALF),
+}
+
 FULL_REGION = 0
-ALL_REGION_IDS = tuple(range(9))
+ALL_REGION_IDS = tuple(REGION_LAYOUT)
+# The full map and its halves: every region that keeps one axis whole.
+HALVES_ONLY_IDS = tuple(rid for rid, parts in REGION_LAYOUT.items() if WHOLE in parts)
 
 
-def _halves(n: int) -> tuple[slice, slice]:
-    first = slice(0, (n + 1) // 2)
-    second = slice(n // 2, n)
-    return first, second
+def _axis_slice(n: int, part: str) -> slice:
+    if part == FIRST_HALF:
+        return slice(0, (n + 1) // 2)
+    if part == SECOND_HALF:
+        return slice(n // 2, n)
+    return slice(0, n)
 
 
 def region_slices(h: int, w: int) -> dict[int, tuple[slice, slice]]:
     """Row/column slices for every region id on an h-by-w grid."""
     if h < 1 or w < 1:
         raise ShapeError(f"grid must be at least 1x1, got {h}x{w}")
-    top, bottom = _halves(h)
-    left, right = _halves(w)
-    full = slice(0, h), slice(0, w)
     return {
-        0: full,
-        1: (full[0], left),
-        2: (full[0], right),
-        3: (top, full[1]),
-        4: (bottom, full[1]),
-        5: (top, left),
-        6: (top, right),
-        7: (bottom, left),
-        8: (bottom, right),
+        rid: (_axis_slice(h, row), _axis_slice(w, col))
+        for rid, (row, col) in REGION_LAYOUT.items()
     }
 
 

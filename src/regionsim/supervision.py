@@ -24,7 +24,6 @@ from .regions import ALL_REGION_IDS
 from .vlad import VladParams, aggregate_regions
 
 DEFAULT_TAUS = (0.07, 0.06, 0.05)
-HALVES_ONLY_IDS = (0, 1, 2, 3, 4)
 WEIGHT_SUM_TOL = 1e-6
 
 

@@ -19,17 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DatasetError, ParameterError
+from .regions import FIRST_HALF, REGION_LAYOUT, SECOND_HALF, WHOLE
 from .seeding import derive_rng
 
 SPLITS = ("train-query", "train-gallery", "test-query", "test-gallery")
 FORMAT_VERSION = 1
-
-# Region ids grouped by the horizontal facade interval they occupy. Top and
-# bottom halves span the full window width; quarters follow their column half.
-FULL_WIDTH_REGIONS = (0, 3, 4)
-LEFT_REGIONS = (1, 5, 7)
-RIGHT_REGIONS = (2, 6, 8)
 
 
 @dataclass(frozen=True)
@@ -211,15 +207,13 @@ def overlap_fraction(a: GeoImage, b: GeoImage, window_m: float) -> float:
 
 
 def region_interval(x: float, window_m: float, region_id: int) -> tuple[float, float]:
-    """Facade interval covered by one region of the view at ``x``."""
+    """Facade interval covered by one region of the view at ``x``: the
+    region's column part of the window."""
+    if region_id not in REGION_LAYOUT:
+        raise ParameterError(f"region id must be in 0..8, got {region_id}")
     left, right = view_interval(x, window_m)
-    if region_id in FULL_WIDTH_REGIONS:
-        return left, right
-    if region_id in LEFT_REGIONS:
-        return left, x
-    if region_id in RIGHT_REGIONS:
-        return x, right
-    raise ParameterError(f"region id must be in 0..8, got {region_id}")
+    halves = {WHOLE: (left, right), FIRST_HALF: (left, x), SECOND_HALF: (x, right)}
+    return halves[REGION_LAYOUT[region_id][1]]
 
 
 def region_overlap(query: GeoImage, gallery: GeoImage, region_id: int, window_m: float) -> float:
@@ -294,12 +288,13 @@ def _image_path(root: str, image_id: int) -> str:
 
 
 def write_dataset(ds: Dataset, root: str):
+    """Write every file of the disk layout whole or not at all."""
     os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "manifest.csv"), "w", encoding="ascii") as fh:
+    with atomic_open(os.path.join(root, "manifest.csv"), "w", encoding="ascii") as fh:
         fh.write("id,reported_x,split\n")
         for img in ds.images:
             fh.write(f"{img.id},{img.reported_x!r},{img.split}\n")
-    with open(os.path.join(root, "truth.csv"), "w", encoding="ascii") as fh:
+    with atomic_open(os.path.join(root, "truth.csv"), "w", encoding="ascii") as fh:
         fh.write("id,true_x,heading\n")
         for img in ds.images:
             fh.write(f"{img.id},{img.true_x!r},{img.heading}\n")
@@ -309,12 +304,12 @@ def write_dataset(ds: Dataset, root: str):
         "spec": asdict(ds.spec),
         "stats": ds.stats,
     }
-    with open(os.path.join(root, "world.json"), "w", encoding="ascii") as fh:
+    with atomic_open(os.path.join(root, "world.json"), "w", encoding="ascii") as fh:
         json.dump(meta, fh, sort_keys=True, separators=(",", ": "), indent=1)
         fh.write("\n")
     for img in ds.images:
         h, w = img.pixels.shape
-        with open(_image_path(root, img.id), "wb") as fh:
+        with atomic_open(_image_path(root, img.id), "wb") as fh:
             fh.write(np.array([h, w], dtype="<u4").tobytes())
             fh.write(np.ascontiguousarray(img.pixels, dtype="<f4").tobytes())
 
@@ -357,9 +352,14 @@ def load_dataset(root: str) -> Dataset:
         raise DatasetError(f"unreadable dataset directory {root}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"corrupt world.json in {root}") from exc
+    if not isinstance(meta, dict):
+        raise DatasetError(f"world.json in {root} is not a JSON object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise DatasetError(f"unsupported dataset format version {meta.get('format_version')}")
-    spec = WorldSpec(**meta["spec"])
+    try:
+        spec = WorldSpec(**meta["spec"])
+    except (KeyError, TypeError, ParameterError) as exc:
+        raise DatasetError(f"invalid world spec in {root}/world.json: {exc!r}") from exc
     world_key = spec_digest(spec)
     if meta.get("world_key") != world_key:
         raise DatasetError("world.json spec does not match its recorded key")

@@ -44,10 +44,9 @@ from .mining import (
     sample_negatives,
 )
 from .model import Model, init_model
-from .regions import ALL_REGION_IDS, FULL_REGION
+from .regions import ALL_REGION_IDS, FULL_REGION, HALVES_ONLY_IDS
 from .seeding import derive_rng
 from .supervision import (
-    HALVES_ONLY_IDS,
     SoftLabelRecord,
     format_record,
     hard_loss,

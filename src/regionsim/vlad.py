@@ -131,7 +131,3 @@ def aggregate(params: VladParams, fm):
         fm.shape[1:-2] + (params.k * params.dim,)
     )
 
-
-def aggregate_array(params: VladParams, fm: np.ndarray) -> np.ndarray:
-    """:func:`aggregate` on array leaves: no graph is recorded."""
-    return aggregate(params.as_arrays(), np.asarray(fm, np.float64))

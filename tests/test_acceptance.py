@@ -23,7 +23,7 @@ from regionsim.mining import hardest_negative_region, k_reciprocal
 from regionsim.model import init_model
 from regionsim.supervision import SoftLabelRecord, expected_entries, hard_loss, soft_loss
 from regionsim.synthcity import WorldSpec, generate_dataset, region_overlap
-from regionsim.vlad import VladParams, aggregate_array
+from regionsim.vlad import VladParams, aggregate
 
 CHAIN_SEEDS = (0, 1, 2)
 
@@ -104,7 +104,7 @@ class TestCriterion2:
             query = rng.standard_normal(24)
             query /= np.linalg.norm(query)
             blocks = literal_region_blocks(fm)
-            descs = {rid: aggregate_array(params, blocks[rid]) for rid in range(9)}
+            descs = {rid: aggregate(params.as_arrays(), blocks[rid]) for rid in range(9)}
             rid, desc = hardest_negative_region(query, fm, params)
             brid, _ = brute_hardest_region(query, descs)
             if rid != brid or not np.allclose(desc, descs[brid], atol=1e-12):

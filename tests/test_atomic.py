@@ -9,6 +9,7 @@ import pytest
 from regionsim import checkpoint as ck
 from regionsim import cli
 from regionsim import supervision as sup
+from regionsim import synthcity as sc
 from regionsim.atomic import atomic_open
 from regionsim.errors import ParameterError
 
@@ -106,3 +107,14 @@ class TestArtifacts:
             # meets the seed it cannot serialize.
             cli._write_run_record(str(tmp_path), "train", ["a = 1"], {"world": object()})
         assert os.listdir(tmp_path) == ["metrics.csv"]
+
+    def test_dataset_write_failing_in_world_json(self, tmp_path):
+        spec = sc.WorldSpec(length_m=60.0, n_train_queries=1, n_train_gallery=1,
+                            n_test_queries=1, n_test_gallery=1)
+        ds = sc.generate_dataset(spec)
+        # json.dump has written the spec by the time it meets the stat it
+        # cannot serialize.
+        ds.stats = {"unserializable": object()}
+        with pytest.raises(TypeError):
+            sc.write_dataset(ds, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["manifest.csv", "truth.csv"]

@@ -150,6 +150,25 @@ class TestExitCodes:
         assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
         assert "manifest.csv line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: {**meta, "spec": {**meta["spec"], "bogus": 1}},
+            lambda meta: {key: v for key, v in meta.items() if key != "spec"},
+            lambda meta: [meta],
+            lambda meta: {**meta, "spec": {**meta["spec"], "window_m": -1}},
+        ],
+        ids=["unknown-spec-key", "missing-spec", "json-array", "negative-window"],
+    )
+    def test_bad_world_json_is_io_error(self, run_dir, data_dir, tmp_path, capsys, edit):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        world = bad / "world.json"
+        world.write_text(json.dumps(edit(json.loads(world.read_text()))))
+        path = os.path.join(run_dir, "labels_gen2.txt")
+        assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
+        assert "world.json" in capsys.readouterr().err
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus.key = 3\n")

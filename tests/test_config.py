@@ -1,10 +1,13 @@
 """Config parsing tests: dotted keys, defaults, ablation implications."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionsim import config as cfg_mod
 from regionsim.config import RunConfig
 from regionsim.errors import ConfigError
+from regionsim.synthcity import WorldSpec
 
 
 class TestRunConfigCreate:
@@ -85,6 +88,36 @@ class TestConfigDigest:
         assert cfg_mod.config_digest(RunConfig.create(seed=1), "w1") != base
         assert cfg_mod.config_digest(RunConfig.create(), "w2") != base
 
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [
+            ({}, "3bdbf7b6c65922a0"),
+            ({"naive_topk": True}, "caf7e6e2d8eb0758"),
+            ({"use_regions": False}, "6d36498d79bce18f"),
+            ({"use_quarters": False}, "8a6799bbbcca3cbe"),
+            ({"const_tau": True}, "c01b8133a3234fdf"),
+            ({"generations": 1}, "3f295e481c6ddafe"),
+        ],
+    )
+    def test_golden_digests(self, kw, digest):
+        # Checkpoints carry this hash, so it must never drift.
+        assert cfg_mod.config_digest(RunConfig.create(**kw), "w") == digest
+
+    def test_golden_world_lines(self):
+        assert cfg_mod.world_canonical_lines(WorldSpec()) == [
+            "world.heading_balance = 0.5",
+            "world.image_height = 32",
+            "world.image_width = 96",
+            "world.length_m = 400.0",
+            "world.n_test_gallery = 256",
+            "world.n_test_queries = 64",
+            "world.n_train_gallery = 256",
+            "world.n_train_queries = 64",
+            "world.noise_sigma_m = 5.0",
+            "world.seed = 0",
+            "world.window_m = 12.0",
+        ]
+
     def test_worker_count_is_not_part_of_the_digest(self):
         a = cfg_mod.config_digest(RunConfig.create(workers=1), "w")
         b = cfg_mod.config_digest(RunConfig.create(workers=8), "w")
@@ -153,3 +186,67 @@ class TestConfigText:
         p.write_text("train.epochs = 2\nworld.window_m = 10\n")
         values = cfg_mod.load_config_file(str(p))
         assert values == {"train.epochs": 2, "world.window_m": 10.0}
+
+
+counts = st.integers(1, 10**6)
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    generations = draw(st.integers(1, 6))
+    # Distinct six-decimal temperatures survive the nine-digit echo unchanged.
+    micros = draw(st.lists(st.integers(1, 10**6), min_size=generations - 1,
+                           max_size=generations - 1, unique=True))
+    return RunConfig.create(
+        generations=generations,
+        taus=tuple(m / 1e6 for m in sorted(micros, reverse=True)),
+        const_tau=draw(st.booleans()),
+        epochs=draw(counts),
+        batch_tuples=draw(counts),
+        k_positives=draw(counts),
+        n_negatives=draw(counts),
+        workers=draw(counts),
+        eval_out_dim=draw(counts),
+        center_init_images=draw(counts),
+        lam=draw(st.floats(0.0, 1e6, **finite)),
+        lr=draw(st.floats(0.0, 1e6, exclude_min=True, **finite)),
+        momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        weight_decay=draw(st.floats(0.0, 1e6, **finite)),
+        seed=draw(st.integers(0, 2**32)),
+        freeze_early=draw(st.booleans()),
+        use_regions=draw(st.booleans()),
+        use_quarters=draw(st.booleans()),
+        use_neg_regions=draw(st.booleans()),
+        use_soft=draw(st.booleans()),
+        naive_topk=draw(st.booleans()),
+    )
+
+
+@st.composite
+def world_specs(draw):
+    length = draw(st.floats(1e-3, 1e6, **finite))
+    return WorldSpec(
+        seed=draw(st.integers(0, 2**32)),
+        length_m=length,
+        window_m=draw(st.floats(0.0, length, exclude_min=True, exclude_max=True)),
+        image_height=draw(st.integers(8, 4096)),
+        image_width=draw(st.integers(8, 4096)),
+        noise_sigma_m=draw(st.floats(0.0, 1e3, **finite)),
+        heading_balance=draw(st.floats(0.0, 1.0)),
+        n_train_queries=draw(counts),
+        n_train_gallery=draw(counts),
+        n_test_queries=draw(counts),
+        n_test_gallery=draw(counts),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs(), spec=world_specs())
+def test_canonical_lines_parse_back_to_themselves(cfg, spec):
+    """The run.json config echo: every field of both dataclasses has a key
+    the parser reads back as the same value."""
+    lines = cfg_mod.world_canonical_lines(spec) + cfg.canonical_lines()
+    values = cfg_mod.parse_config_text("\n".join(lines))
+    back = cfg_mod.world_spec_from(values), cfg_mod.run_config_from(values)
+    assert cfg_mod.world_canonical_lines(back[0]) + back[1].canonical_lines() == lines

@@ -45,7 +45,7 @@ class TestLowPass:
     def test_one_pixel_shift_keeps_descriptors_close(self):
         from regionsim.model import init_model
         from regionsim.synthcity import World, WorldSpec, render_view
-        from regionsim.vlad import aggregate_array
+        from regionsim.vlad import aggregate
 
         world = World(WorldSpec())
         xs = np.random.default_rng(0).uniform(20.0, 380.0, size=20)
@@ -53,7 +53,7 @@ class TestLowPass:
         model = init_model(0, views[:8])
 
         def desc(img):
-            return aggregate_array(model.vlad, enc.encode_array(model.encoder, img))
+            return aggregate(model.vlad.as_arrays(), enc.encode_array(model.encoder, img))
 
         sims = [
             desc(render_view(world, x, h)) @ desc(render_view(world, x + 1 / 8, h))

@@ -178,7 +178,7 @@ class TestHardestNegativeRegion:
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         query_fm = np.tile((c[0] + 0.2 * v)[:, None, None], (1, 2, 4))
-        query = vlad.aggregate_array(params, query_fm)
+        query = vlad.aggregate(params.as_arrays(), query_fm)
         neg = np.tile((c[1] - 0.2 * v)[:, None, None], (1, 4, 8))
         neg[:, 0:2, 0:4] = (c[0] + 0.2 * v)[:, None, None]
         rid, _ = mining.hardest_negative_region(query, neg, params)
@@ -193,7 +193,7 @@ class TestHardestNegativeRegion:
             query /= np.linalg.norm(query)
             rid, desc = mining.hardest_negative_region(query, fm, params)
             blocks = literal_region_blocks(fm)
-            oracle_descs = {r: vlad.aggregate_array(params, blocks[r]) for r in range(9)}
+            oracle_descs = {r: vlad.aggregate(params.as_arrays(), blocks[r]) for r in range(9)}
             want_rid, want_sim = brute_hardest_region(query, oracle_descs)
             assert rid == want_rid
             np.testing.assert_allclose(float(desc @ query), want_sim, rtol=0, atol=0)

@@ -46,7 +46,7 @@ class TestDescriptors:
         m = mdl.init_model(4, sample_images(4))
         for img in sample_images(5, n=3):
             graph = vlad.aggregate(m.vlad, enc.encode(m.encoder, img)).data
-            array = vlad.aggregate_array(m.vlad, enc.encode_array(m.encoder, img))
+            array = vlad.aggregate(m.vlad.as_arrays(), enc.encode_array(m.encoder, img))
             assert np.array_equal(graph, array)
 
     def test_region_paths_match_bitwise(self):
@@ -68,7 +68,7 @@ class TestDescriptors:
         rows = vlad.aggregate_regions(m.vlad.as_arrays(), fm, ALL_REGION_IDS)
         blocks = literal_region_blocks(fm)
         for rid in ALL_REGION_IDS:
-            assert np.array_equal(rows[rid], vlad.aggregate_array(m.vlad, blocks[rid]))
+            assert np.array_equal(rows[rid], vlad.aggregate(m.vlad.as_arrays(), blocks[rid]))
 
     def test_region_rows_match_blocks_on_random_sizes(self):
         # A one-position block scores its position with a one-row product,
@@ -81,7 +81,7 @@ class TestDescriptors:
             rows = vlad.aggregate_regions(params, fm, ALL_REGION_IDS)
             blocks = literal_region_blocks(fm)
             for rid in ALL_REGION_IDS:
-                want = vlad.aggregate_array(params, blocks[rid])
+                want = vlad.aggregate(params.as_arrays(), blocks[rid])
                 if blocks[rid][0].size > 1:
                     assert np.array_equal(rows[rid], want)
                 else:

@@ -12,7 +12,7 @@ from regionsim import vlad
 from regionsim.encoder import encode_array
 from regionsim.errors import IntegrityError, ParameterError, ShapeError
 from regionsim.model import init_model
-from regionsim.regions import ALL_REGION_IDS
+from regionsim.regions import ALL_REGION_IDS, HALVES_ONLY_IDS
 
 
 def naive_pairwise_softmax_loss(qp, qns):
@@ -108,7 +108,7 @@ class TestRegionSoftLabels:
         v = np.array([0.3, -0.5, 0.8])
         v /= np.linalg.norm(v)
         q_fm = np.tile((c[0] + 0.2 * v)[:, None, None], (1, 2, 4))
-        q = vlad.aggregate_array(params, q_fm)
+        q = vlad.aggregate(params.as_arrays(), q_fm)
         match = np.tile((c[0] + 0.2 * v)[:, None, None], (1, 4, 8))
         clash = np.tile((c[1] - 0.2 * v)[:, None, None], (1, 4, 8))
         # Second positive's top-right quarter carries the matching texture.
@@ -124,18 +124,18 @@ class TestRegionSoftLabels:
         fm = rng.normal(size=(3, 4, 6))
         q = unit_rows(rng, 1, 12)[0]
         rec = sup.region_soft_labels(
-            q, [2], [fm], params, 0.07, 1, region_ids=sup.HALVES_ONLY_IDS
+            q, [2], [fm], params, 0.07, 1, region_ids=HALVES_ONLY_IDS
         )
         assert rec.entries == ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4))
-        sup.validate_record(rec, sup.HALVES_ONLY_IDS)
+        sup.validate_record(rec, HALVES_ONLY_IDS)
 
     def test_matches_per_positive_oracle_on_encodings(self):
         rng = np.random.default_rng(218)
         images = rng.uniform(0.0, 1.0, size=(10, 32, 96))
         model = init_model(5, images[:4])
         fms = [encode_array(model.encoder, img) for img in images[4:9]]
-        q = vlad.aggregate_array(model.vlad, encode_array(model.encoder, images[9]))
-        for region_ids in (ALL_REGION_IDS, sup.HALVES_ONLY_IDS, (0,)):
+        q = vlad.aggregate(model.vlad.as_arrays(), encode_array(model.encoder, images[9]))
+        for region_ids in (ALL_REGION_IDS, HALVES_ONLY_IDS, (0,)):
             args = (q, [4, 1, 8, 0, 6], fms, model.vlad, 0.06, 2)
             got = sup.region_soft_labels(*args, query_id=3, region_ids=region_ids)
             want = per_positive_soft_labels(*args, query_id=3, region_ids=region_ids)
@@ -182,7 +182,7 @@ class TestRegionSims:
             query_id=0,
             generation=1,
             tau=0.07,
-            entries=sup.expected_entries([7, 3], sup.HALVES_ONLY_IDS),
+            entries=sup.expected_entries([7, 3], HALVES_ONLY_IDS),
             weights=(0.1,) * 10,
         )
         return q, mats, rec

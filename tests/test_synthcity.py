@@ -149,6 +149,19 @@ class TestOverlapTruth:
         for rid in range(9):
             assert sc.region_overlap(q, g, rid, self.w) == 0.0
 
+    def test_region_interval_table(self):
+        # The view at 50 m with a 12 m window spans [44, 56]; a region's
+        # facade interval is its column part of that span.
+        want = {
+            0: (44.0, 56.0), 1: (44.0, 50.0), 2: (50.0, 56.0),
+            3: (44.0, 56.0), 4: (44.0, 56.0), 5: (44.0, 50.0),
+            6: (50.0, 56.0), 7: (44.0, 50.0), 8: (50.0, 56.0),
+        }
+        assert {rid: sc.region_interval(50.0, 12.0, rid) for rid in range(9)} == want
+        for bad in (-1, 9):
+            with pytest.raises(ParameterError):
+                sc.region_interval(50.0, 12.0, bad)
+
     def test_region_overlap_rejects_bad_id(self):
         g = view(self.world, 50.0, 1, 0)
         with pytest.raises(ParameterError):

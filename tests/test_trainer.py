@@ -16,7 +16,7 @@ from regionsim.model import init_model
 from regionsim.seeding import derive_rng
 from regionsim.supervision import format_record
 from regionsim.synthcity import Dataset, WorldSpec, generate_dataset
-from regionsim.vlad import aggregate_array
+from regionsim.vlad import aggregate
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +136,12 @@ class TestEncodeImages:
         images = small_ds.split("train-gallery")[:6]
         _, descs = trainer.encode_images(model, images, workers=3)
         for i, img in enumerate(images):
-            expect = aggregate_array(model.vlad, encode_array(model.encoder, img.pixels))
+            expect = aggregate(model.vlad.as_arrays(), encode_array(model.encoder, img.pixels))
             np.testing.assert_array_equal(descs[i], expect)
 
     def per_image(self, model, images):
         return [
-            (fm, aggregate_array(model.vlad, fm))
+            (fm, aggregate(model.vlad.as_arrays(), fm))
             for fm in (encode_array(model.encoder, img.pixels) for img in images)
         ]
 

@@ -54,7 +54,7 @@ class TestAggregate:
     def test_unit_norm_and_shape(self):
         rng = np.random.default_rng(4)
         params = make_params(k=3, d=4)
-        desc = vlad.aggregate_array(params, rng.normal(size=(4, 2, 5)))
+        desc = vlad.aggregate(params.as_arrays(), rng.normal(size=(4, 2, 5)))
         assert desc.shape == (12,)
         np.testing.assert_allclose(np.linalg.norm(desc), 1.0, atol=1e-12)
 
@@ -64,7 +64,7 @@ class TestAggregate:
         for _ in range(10):
             fm = rng.normal(size=(6, rng.integers(1, 5), rng.integers(1, 7)))
             graph = vlad.aggregate(params, ag.constant(fm)).data
-            assert np.array_equal(graph, vlad.aggregate_array(params, fm))
+            assert np.array_equal(graph, vlad.aggregate(params.as_arrays(), fm))
 
     def test_invariant_to_spatial_permutation(self):
         rng = np.random.default_rng(6)
@@ -74,22 +74,22 @@ class TestAggregate:
         perm = rng.permutation(12)
         shuffled = cols[:, perm].reshape(3, 2, 6)
         reshaped = cols[:, perm].reshape(3, 1, 12)
-        base = vlad.aggregate_array(params, fm)
-        np.testing.assert_allclose(vlad.aggregate_array(params, shuffled), base, atol=1e-12)
-        np.testing.assert_allclose(vlad.aggregate_array(params, reshaped), base, atol=1e-12)
+        base = vlad.aggregate(params.as_arrays(), fm)
+        np.testing.assert_allclose(vlad.aggregate(params.as_arrays(), shuffled), base, atol=1e-12)
+        np.testing.assert_allclose(vlad.aggregate(params.as_arrays(), reshaped), base, atol=1e-12)
 
     def test_degenerate_all_zero_raises(self):
         params = vlad.VladParams(centers=ag.parameter(np.zeros((3, 4))))
         fm = np.zeros((4, 2, 2))
         with pytest.raises(DegenerateInputError):
-            vlad.aggregate_array(params, fm)
+            vlad.aggregate(params.as_arrays(), fm)
         with pytest.raises(DegenerateInputError):
             vlad.aggregate(params, ag.constant(fm))
 
     def test_rejects_dim_mismatch(self):
         params = make_params(k=3, d=4)
         with pytest.raises(ShapeError):
-            vlad.aggregate_array(params, np.zeros((5, 2, 2)))
+            vlad.aggregate(params.as_arrays(), np.zeros((5, 2, 2)))
 
     def test_array_leaves(self):
         # VladParams documents a plain array as valid centers.
@@ -97,9 +97,9 @@ class TestAggregate:
         params = make_params(k=3, d=4, seed=11)
         fm = rng.normal(size=(4, 3, 5))
         plain = vlad.VladParams(centers=params.centers.data.copy(), alpha=params.alpha)
-        desc = vlad.aggregate_array(plain, fm)
+        desc = vlad.aggregate(plain.as_arrays(), fm)
         assert isinstance(desc, np.ndarray)
-        assert np.array_equal(desc, vlad.aggregate_array(params, fm))
+        assert np.array_equal(desc, vlad.aggregate(params.as_arrays(), fm))
         assert np.array_equal(plain.as_arrays().centers, plain.centers)
 
     def test_gradients_reach_centers_and_features(self):
@@ -128,7 +128,7 @@ class TestAggregateRegions:
         for _ in range(10):
             fm = rng.normal(size=(6, rng.integers(1, 5), rng.integers(1, 7)))
             rows = vlad.aggregate_regions(params.as_arrays(), fm, ALL_REGION_IDS)
-            assert np.array_equal(rows[0], vlad.aggregate_array(params, fm))
+            assert np.array_equal(rows[0], vlad.aggregate(params.as_arrays(), fm))
 
     def test_paths_match_bitwise(self):
         rng = np.random.default_rng(16)
@@ -165,13 +165,13 @@ class TestStacks:
         arrays = vlad.VladParams(centers)
         rows = vlad.aggregate_regions(arrays, fms, ALL_REGION_IDS)
         graph = vlad.aggregate_regions(vlad.VladParams(ag.parameter(centers)), fms, ALL_REGION_IDS)
-        descs = vlad.aggregate_array(arrays, fms)
+        descs = vlad.aggregate(arrays.as_arrays(), fms)
         assert rows.shape == (16, 9, 128) and descs.shape == (16, 128)
         assert np.array_equal(graph.data, rows)
         for i in range(16):
             alone = vlad.aggregate_regions(arrays, fms[:, i], ALL_REGION_IDS)
             assert np.array_equal(rows[i], alone)
-            assert np.array_equal(descs[i], vlad.aggregate_array(arrays, fms[:, i]))
+            assert np.array_equal(descs[i], vlad.aggregate(arrays.as_arrays(), fms[:, i]))
 
     def test_random_stacks_match_per_map_rows(self):
         rng = np.random.default_rng(21)
@@ -187,4 +187,4 @@ class TestStacks:
 
     def test_rejects_other_ranks(self):
         with pytest.raises(ShapeError):
-            vlad.aggregate_array(make_params(k=3, d=4), np.zeros((4, 1, 1, 2, 2)))
+            vlad.aggregate(make_params(k=3, d=4).as_arrays(), np.zeros((4, 1, 1, 2, 2)))
