@@ -160,7 +160,7 @@ def _canonical_lines(obj, section: str, skip: tuple[str, ...] = ()) -> list[str]
             continue
         v = getattr(obj, name)
         if isinstance(v, tuple):
-            v = ",".join(f"{x:.9g}" for x in v)
+            v = ",".join(repr(float(x)) for x in v)
         out.append(f"{key} = {v}")
     return out
 

@@ -128,7 +128,3 @@ def encode(params: EncoderParams, images):
             x = ag.relu(x)
     return x
 
-
-def encode_array(params: EncoderParams, images) -> np.ndarray:
-    """:func:`encode` on the parameters' arrays: no graph is recorded."""
-    return encode(params.as_arrays(), images)

@@ -4,8 +4,9 @@ A descriptor is ``vlad.aggregate(m.vlad, encoder.encode(m.encoder, image))``
 with gradients, or the same definitions on ``m.as_arrays()`` without.
 Queries are always represented by their full-map descriptor; only gallery
 feature maps are decomposed into regions, all of a map's regions at once by
-``vlad.aggregate_regions``. Training and ``trainer.encode_images`` run both
-on stacks of images through one loop, ``trainer.describe_chunks``.
+``vlad.aggregate_regions``. Training and ``trainer.encode_images`` (which
+gives the teacher's region matrices and every gradient-free descriptor) run
+both on stacks of images through one loop, ``trainer.describe_chunks``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def init_model(
     which is what lets every generation restart from the same initialization.
     """
     params = enc.init_encoder(seed)
-    fms = enc.encode_array(params, list(sample_images))
+    fms = enc.encode(params.as_arrays(), list(sample_images))
     features = fms.reshape(fms.shape[0], -1).T  # one row per position, image by image
     centers = vlad.init_centers(features, k, seed)
     if freeze_early:

@@ -5,9 +5,9 @@ positives (optionally decomposed into regions); a sharp softmax over those
 scores becomes the immutable training target for the next generation. The
 student is always scored at temperature 1. Teacher and student alike score
 a positive's regions by :func:`region_sims`: one matrix-vector product
-against its (R, K*D) region matrix from ``vlad.aggregate_regions``. The
-hard loss is the pairwise softmax ranking loss in its numerically stable
-softplus form.
+against its (R, K*D) region matrix, which ``trainer.describe_chunks``
+builds for both. The hard loss is the pairwise softmax ranking loss in its
+numerically stable softplus form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import autograd as ag
 from .atomic import atomic_open
 from .errors import IntegrityError, ParameterError, ShapeError
 from .regions import ALL_REGION_IDS
-from .vlad import VladParams, aggregate_regions
 
 DEFAULT_TAUS = (0.07, 0.06, 0.05)
 WEIGHT_SUM_TOL = 1e-6
@@ -84,8 +83,7 @@ def region_sims(query_desc, positive_regions):
 def region_soft_labels(
     query_desc: np.ndarray,
     positive_ids: Sequence[int],
-    positive_fms: Sequence[np.ndarray],
-    params: VladParams,
+    positive_regions: Sequence[np.ndarray],
     tau: float,
     generation: int,
     query_id: int = -1,
@@ -93,21 +91,16 @@ def region_soft_labels(
 ) -> SoftLabelRecord:
     """Soft targets: one softmax over every (positive, region) sim.
 
-    The query is never decomposed; it enters only as a descriptor.
-    ``region_ids=(0,)`` gives image-level targets over the full positives.
-    The positives share one map shape and are aggregated as one
-    (D, P, h, w) stack.
+    The query is never decomposed; it enters only as a descriptor. Each
+    positive enters as its (R, K*D) region matrix, row r describing region
+    ``region_ids[r]``; ``region_ids=(0,)`` gives image-level targets over
+    the full positives.
     """
     if len(positive_ids) == 0:
         raise ParameterError("need at least one positive")
-    if len(positive_ids) != len(positive_fms):
-        raise ShapeError("one feature map per positive id is required")
-    shapes = {np.shape(fm) for fm in positive_fms}
-    if len(shapes) > 1:
-        raise ShapeError(f"positive feature maps differ in shape: {sorted(shapes)}")
-    stack = np.stack(positive_fms, axis=1)
-    sims = region_sims(query_desc, aggregate_regions(params.as_arrays(), stack, region_ids))
-    weights = ag.softmax_temp(sims, tau).data
+    if len(positive_ids) != len(positive_regions):
+        raise ShapeError("one region matrix per positive id is required")
+    weights = ag.softmax_temp(region_sims(query_desc, positive_regions), tau).data
     return SoftLabelRecord(
         query_id=query_id,
         generation=generation,

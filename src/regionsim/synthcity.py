@@ -314,7 +314,8 @@ def write_dataset(ds: Dataset, root: str):
             fh.write(np.ascontiguousarray(img.pixels, dtype="<f4").tobytes())
 
 
-def _read_image(root: str, image_id: int) -> np.ndarray:
+def _read_image(root: str, image_id: int, shape: tuple[int, int]) -> np.ndarray:
+    """The image's pixels; every image of a world has the world's shape."""
     path = _image_path(root, image_id)
     try:
         raw = Path(path).read_bytes()
@@ -323,6 +324,8 @@ def _read_image(root: str, image_id: int) -> np.ndarray:
     if len(raw) < 8:
         raise DatasetError(f"truncated image header in {path}")
     h, w = (int(v) for v in np.frombuffer(raw[:8], dtype="<u4"))
+    if (h, w) != shape:
+        raise DatasetError(f"image {path} is {h}x{w}, not the world's {shape[0]}x{shape[1]}")
     payload = np.frombuffer(raw[8:], dtype="<f4")
     if payload.size != h * w:
         raise DatasetError(f"image payload size mismatch in {path}")
@@ -375,7 +378,7 @@ def load_dataset(root: str) -> Dataset:
         images.append(
             GeoImage(
                 id=image_id,
-                pixels=_read_image(root, image_id),
+                pixels=_read_image(root, image_id, (spec.image_height, spec.image_width)),
                 true_x=true_x,
                 reported_x=reported_x,
                 heading=heading,

@@ -34,7 +34,7 @@ from . import vlad as vlad_mod
 from .atomic import atomic_open
 from .checkpoint import PARAM_NAMES, Checkpoint, from_model, save_checkpoint, to_model
 from .config import RunConfig, config_digest
-from .errors import EvaluationError, IntegrityError, SequencingError, ShapeError
+from .errors import EvaluationError, IntegrityError, ParameterError, SequencingError, ShapeError
 from .mining import (
     difficult_positives,
     easiest_positive,
@@ -90,23 +90,17 @@ def quantize_checkpoint(ckpt: Checkpoint) -> Checkpoint:
 
 
 def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:
-    """Split a list of images into the runs that are encoded as one stack.
+    """Split a list of images into the runs that are encoded as one stack:
+    consecutive runs of :data:`ENCODE_CHUNK` images, the last one shorter.
 
-    Each run holds at most :data:`ENCODE_CHUNK` consecutive images of one
-    shape, and a change of shape starts a new run. The runs depend on the
-    image list alone: BLAS may round a column at the edge of its tiling
-    differently, so a stack's composition can touch the last bit of an
-    odd-size map, and runs that followed anything else (such as the worker
-    count) could change a downstream number.
+    A world holds one image shape (``synthcity.load_dataset`` checks it),
+    so the runs depend on the image count alone. BLAS may round a column at
+    the edge of its tiling differently, so a stack's composition can touch
+    the last bit of an odd-size map, and runs that followed anything else
+    (such as the worker count) could change a downstream number.
     """
-    chunks: list[range] = []
-    for i, img in enumerate(pixels):
-        last = chunks[-1] if chunks else None
-        if last and len(last) < ENCODE_CHUNK and np.shape(pixels[last.start]) == np.shape(img):
-            chunks[-1] = range(last.start, i + 1)
-        else:
-            chunks.append(range(i, i + 1))
-    return chunks
+    n = len(pixels)
+    return [range(i, min(i + ENCODE_CHUNK, n)) for i in range(0, n, ENCODE_CHUNK)]
 
 
 def describe_chunks(
@@ -115,11 +109,13 @@ def describe_chunks(
     """The one loop from images to feature maps and region rows: for each
     run of :func:`encode_chunks`, in order, (run, its (D, B, h, w) maps, its
     (B, R, K*D) ``aggregate_regions`` rows). Tensor parameters give graph
-    nodes, array parameters (``model.as_arrays()``) give arrays."""
+    nodes, array parameters (``model.as_arrays()``) give arrays. Images of
+    one run must share one shape (``encoder.encode`` raises ``ShapeError``
+    otherwise)."""
     pixels = [img.pixels for img in images]
 
     def one(chunk: range):
-        fms = enc.encode(model.encoder, np.stack(pixels[chunk.start : chunk.stop]))
+        fms = enc.encode(model.encoder, pixels[chunk.start : chunk.stop])
         return chunk, fms, vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
 
     chunks = encode_chunks(pixels)
@@ -130,15 +126,22 @@ def describe_chunks(
 
 
 def encode_images(
-    model: Model, images: Sequence[GeoImage], workers: int = 1
+    model: Model,
+    images: Sequence[GeoImage],
+    workers: int = 1,
+    region_ids: Sequence[int] = (FULL_REGION,),
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradient-free feature maps (views of their chunk's stack) + full
-    descriptors for a list of images, by :func:`describe_chunks`."""
-    done = describe_chunks(model.as_arrays(), images, (FULL_REGION,), workers)
+    """Gradient-free (R, K*D) region matrices, one per image and each a view
+    of its chunk's rows, and the (N, K*D) full descriptors, by
+    :func:`describe_chunks`. ``region_ids`` must start with the full map,
+    whose row gives the descriptor."""
+    if region_ids[0] != FULL_REGION:
+        raise ParameterError(f"region ids must start with the full map, got {region_ids}")
+    done = describe_chunks(model.as_arrays(), images, region_ids, workers)
     if not done:
         return [], np.zeros((0, model.descriptor_dim))
-    maps = [fm for _, fms, _ in done for fm in np.moveaxis(fms, 1, 0)]
-    return maps, np.concatenate([rows[:, 0] for _, _, rows in done])
+    matrices = [m for _, _, rows in done for m in rows]
+    return matrices, np.concatenate([rows[:, 0] for _, _, rows in done])
 
 
 def sgd_step(
@@ -206,7 +209,6 @@ def compute_generation_targets(
     dataset: Dataset,
     cfg: RunConfig,
     omega: int,
-    workers: int = 1,
 ) -> GenerationTargets:
     """Mine positives and build labels for generation omega >= 2.
 
@@ -216,16 +218,18 @@ def compute_generation_targets(
     positive. A query with no candidate gets no positives and no record,
     and training skips it, as generation 1 does. Only the naive top-k
     ablation ignores GPS and takes the plain top-k over the whole gallery.
+    Each gallery image is described once, with the label region set, and
+    a query's soft labels read its positives' region matrices.
     """
     if omega < 2:
         raise SequencingError("generation 1 has no distilled targets")
     train_q = dataset.split("train-query")
     train_g = dataset.split("train-gallery")
-    g_fms, g_descs = encode_images(frozen_model, train_g, workers)
-    _, q_descs = encode_images(frozen_model, train_q, workers)
+    region_ids = _label_region_ids(cfg)
+    g_regions, g_descs = encode_images(frozen_model, train_g, cfg.workers, region_ids)
+    _, q_descs = encode_images(frozen_model, train_q, cfg.workers)
     g_pos = np.array([img.reported_x for img in train_g])
     tau = cfg.taus[omega - 2]
-    region_ids = _label_region_ids(cfg)
 
     positives: list[tuple[int, ...]] = []
     records: list[SoftLabelRecord] = []
@@ -243,8 +247,7 @@ def compute_generation_targets(
             region_soft_labels(
                 q_descs[qrow],
                 [train_g[r].id for r in rows],
-                [g_fms[r] for r in rows],
-                frozen_model.vlad,
+                [g_regions[r] for r in rows],
                 tau,
                 omega - 1,
                 query_id=qimg.id,
@@ -343,7 +346,6 @@ def train_generation(
     prev_ckpt: Optional[Checkpoint],
     dataset: Dataset,
     cfg: RunConfig,
-    workers: Optional[int] = None,
 ) -> GenerationResult:
     """Train one generation end to end and return its checkpoint.
 
@@ -359,7 +361,6 @@ def train_generation(
             raise SequencingError(
                 f"generation {omega} got a generation {prev_ckpt.generation} checkpoint"
             )
-    workers = cfg.workers if workers is None else workers
     cfg_hash = config_digest(cfg, dataset.world_key)
 
     train_q = dataset.split("train-query")
@@ -374,7 +375,7 @@ def train_generation(
     label_digest = ""
     if omega >= 2:
         frozen_model, _ = to_model(quantize_checkpoint(prev_ckpt))
-        targets = compute_generation_targets(frozen_model, dataset, cfg, omega, workers)
+        targets = compute_generation_targets(frozen_model, dataset, cfg, omega)
         records = targets.records
         if records:
             label_digest = labels_digest(records)
@@ -389,8 +390,8 @@ def train_generation(
     for epoch in range(cfg.epochs):
         # Epoch-start cache with the current parameters: feeds positive
         # mining (generation 1) and the negative pool for every generation.
-        _, g_descs = encode_images(model, train_g, workers)
-        _, q_descs = encode_images(model, train_q, workers)
+        _, g_descs = encode_images(model, train_g, cfg.workers)
+        _, q_descs = encode_images(model, train_q, cfg.workers)
         tuples = []
         for qrow in range(len(train_q)):
             if omega == 1:

@@ -13,7 +13,8 @@ lines run on numpy alone, which is how mining, labels and evaluation call
 it. It describes any set of the nine fixed regions of a map in one pass,
 or of every map of a (D, B, H, W) stack at once, and :func:`aggregate` is
 its full-map case. ``trainer.describe_chunks`` aggregates whole encode
-chunks this way, and soft labels a query's positives as one stack.
+chunks this way, for the training graph and for the frozen teacher whose
+region matrices soft labels score.
 """
 
 from __future__ import annotations

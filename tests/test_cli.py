@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from regionsim import gradsuite
@@ -149,6 +150,17 @@ class TestExitCodes:
         path = os.path.join(run_dir, "labels_gen2.txt")
         assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
         assert "manifest.csv line 2" in capsys.readouterr().err
+
+    def test_image_of_another_shape_is_io_error(self, run_dir, data_dir, tmp_path, capsys):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        image = bad / "img_00000.bin"
+        h, w = (int(v) for v in np.frombuffer(image.read_bytes()[:8], dtype="<u4"))
+        narrow = np.array([h, w - 32], dtype="<u4").tobytes() + bytes(4 * h * (w - 32))
+        image.write_bytes(narrow)
+        path = os.path.join(run_dir, "labels_gen2.txt")
+        assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
+        assert f"is {h}x{w - 32}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",

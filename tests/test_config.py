@@ -1,5 +1,7 @@
 """Config parsing tests: dotted keys, defaults, ablation implications."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +105,16 @@ class TestConfigDigest:
         # Checkpoints carry this hash, so it must never drift.
         assert cfg_mod.config_digest(RunConfig.create(**kw), "w") == digest
 
+    def test_digest_sees_every_temperature_digit(self):
+        def digest(taus):
+            return cfg_mod.config_digest(RunConfig.create(generations=3, taus=taus), "w")
+
+        assert digest((0.1, 0.0123456789123)) == "46beb233db5de4e1"
+        assert digest((0.1, 0.0123456789124)) == "c11271ede01c98ee"
+        assert digest((1.0, 0.5)) == "9ce4d01af0a61398"
+        echo = RunConfig.create(generations=3, taus=(1.0, 0.0123456789123)).canonical_lines()
+        assert "train.taus = 1.0,0.0123456789123" in echo
+
     def test_golden_world_lines(self):
         assert cfg_mod.world_canonical_lines(WorldSpec()) == [
             "world.heading_balance = 0.5",
@@ -195,12 +207,12 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def run_configs(draw):
     generations = draw(st.integers(1, 6))
-    # Distinct six-decimal temperatures survive the nine-digit echo unchanged.
-    micros = draw(st.lists(st.integers(1, 10**6), min_size=generations - 1,
-                           max_size=generations - 1, unique=True))
+    # Any distinct positive finite temperatures, every digit significant.
+    taus = draw(st.lists(st.floats(0.0, exclude_min=True, **finite), min_size=generations - 1,
+                         max_size=generations - 1, unique=True))
     return RunConfig.create(
         generations=generations,
-        taus=tuple(m / 1e6 for m in sorted(micros, reverse=True)),
+        taus=tuple(sorted(taus, reverse=True)),
         const_tau=draw(st.booleans()),
         epochs=draw(counts),
         batch_tuples=draw(counts),
@@ -249,4 +261,6 @@ def test_canonical_lines_parse_back_to_themselves(cfg, spec):
     lines = cfg_mod.world_canonical_lines(spec) + cfg.canonical_lines()
     values = cfg_mod.parse_config_text("\n".join(lines))
     back = cfg_mod.world_spec_from(values), cfg_mod.run_config_from(values)
+    # The echo leaves out the worker count, which changes no result.
+    assert back == (spec, replace(cfg, workers=RunConfig.workers))
     assert cfg_mod.world_canonical_lines(back[0]) + back[1].canonical_lines() == lines

@@ -11,24 +11,24 @@ from regionsim.errors import EvaluationError, ShapeError
 class TestShapes:
     def test_reference_input_shape(self):
         params = enc.init_encoder(0)
-        fm = enc.encode_array(params, np.zeros((32, 96)))
+        fm = enc.encode(params.as_arrays(), np.zeros((32, 96)))
         assert fm.shape == (16, 4, 12)
 
     def test_odd_dims_round_up_per_layer(self):
         params = enc.init_encoder(0)
         # ceil-halving three times: 33 -> 17 -> 9 -> 5, 97 -> 49 -> 25 -> 13
-        assert enc.encode_array(params, np.zeros((33, 97))).shape == (16, 5, 13)
+        assert enc.encode(params.as_arrays(), np.zeros((33, 97))).shape == (16, 5, 13)
 
     def test_rejects_bad_inputs(self):
         params = enc.init_encoder(0)
         with pytest.raises(ShapeError):
-            enc.encode_array(params, np.zeros((4, 4)))
+            enc.encode(params.as_arrays(), np.zeros((4, 4)))
         with pytest.raises(ShapeError):
-            enc.encode_array(params, np.zeros((8, 8, 3)))
+            enc.encode(params.as_arrays(), np.zeros((8, 8, 3)))
         bad = np.zeros((8, 8))
         bad[0, 0] = np.nan
         with pytest.raises(EvaluationError):
-            enc.encode_array(params, bad)
+            enc.encode(params.as_arrays(), bad)
 
 
 class TestLowPass:
@@ -53,7 +53,7 @@ class TestLowPass:
         model = init_model(0, views[:8])
 
         def desc(img):
-            return aggregate(model.vlad.as_arrays(), enc.encode_array(model.encoder, img))
+            return aggregate(model.vlad.as_arrays(), enc.encode(model.encoder.as_arrays(), img))
 
         sims = [
             desc(render_view(world, x, h)) @ desc(render_view(world, x + 1 / 8, h))
@@ -93,7 +93,8 @@ class TestPaths:
         params = enc.init_encoder(5)
         for _ in range(5):
             img = rng.normal(size=(rng.integers(8, 40), rng.integers(8, 40)))
-            assert np.array_equal(enc.encode(params, img).data, enc.encode_array(params, img))
+            array = enc.encode(params.as_arrays(), img)
+            assert np.array_equal(enc.encode(params, img).data, array)
 
     def test_array_leaves(self):
         params = enc.init_encoder(6)
@@ -101,7 +102,7 @@ class TestPaths:
             [w.data.copy() for w in params.weights], [b.data.copy() for b in params.biases]
         )
         img = np.random.default_rng(6).normal(size=(16, 24))
-        assert np.array_equal(enc.encode_array(plain, img), enc.encode_array(params, img))
+        assert np.array_equal(enc.encode(plain, img), enc.encode(params.as_arrays(), img))
 
 
 class TestStacks:
@@ -109,13 +110,13 @@ class TestStacks:
     its images; each image's map is the one it gets when encoded alone."""
 
     def per_image(self, params, images):
-        return np.stack([enc.encode_array(params, img) for img in images], axis=1)
+        return np.stack([enc.encode(params, img) for img in images], axis=1)
 
     @pytest.mark.parametrize("n", [1, 16, 17, 37])
     def test_stack_equals_single_images_bitwise(self, n):
-        params = enc.init_encoder(12)
+        params = enc.init_encoder(12).as_arrays()
         images = np.random.default_rng(n).uniform(0, 1, size=(n, 32, 96))
-        out = enc.encode_array(params, images)
+        out = enc.encode(params, images)
         assert out.shape == (16, n, 4, 12)
         assert np.array_equal(out, self.per_image(params, images))
 
@@ -123,29 +124,29 @@ class TestStacks:
     def test_odd_sizes_agree_to_rounding(self, shape):
         # Where a map's position count is not a multiple of the BLAS tile
         # width, edge columns of a stacked product may round differently.
-        params = enc.init_encoder(13)
+        params = enc.init_encoder(13).as_arrays()
         images = np.random.default_rng(13).uniform(0, 1, size=(37,) + shape)
         np.testing.assert_allclose(
-            enc.encode_array(params, images), self.per_image(params, images), rtol=0, atol=1e-15
+            enc.encode(params, images), self.per_image(params, images), rtol=0, atol=1e-15
         )
 
     def test_list_of_images_is_a_stack(self):
-        params = enc.init_encoder(14)
+        params = enc.init_encoder(14).as_arrays()
         images = list(np.random.default_rng(14).uniform(0, 1, size=(3, 32, 96)))
-        assert np.array_equal(enc.encode_array(params, images), self.per_image(params, images))
+        assert np.array_equal(enc.encode(params, images), self.per_image(params, images))
 
     def test_each_image_is_validated(self):
-        params = enc.init_encoder(15)
+        params = enc.init_encoder(15).as_arrays()
         images = np.zeros((4, 16, 16))
         images[2, 3, 3] = np.inf
         with pytest.raises(EvaluationError, match="image 2 of the stack"):
-            enc.encode_array(params, images)
+            enc.encode(params, images)
         with pytest.raises(ShapeError):
-            enc.encode_array(params, [np.zeros((16, 16)), np.zeros((16, 24))])
+            enc.encode(params, [np.zeros((16, 16)), np.zeros((16, 24))])
         with pytest.raises(ShapeError):
-            enc.encode_array(params, np.zeros((2, 16, 4)))
+            enc.encode(params, np.zeros((2, 16, 4)))
         with pytest.raises(ShapeError):
-            enc.encode_array(params, np.zeros((2, 2, 16, 16)))
+            enc.encode(params, np.zeros((2, 2, 16, 16)))
 
     def test_low_pass_filters_each_image_alone(self):
         images = np.random.default_rng(16).uniform(0, 1, size=(5, 9, 12))

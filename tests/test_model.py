@@ -46,7 +46,7 @@ class TestDescriptors:
         m = mdl.init_model(4, sample_images(4))
         for img in sample_images(5, n=3):
             graph = vlad.aggregate(m.vlad, enc.encode(m.encoder, img)).data
-            array = vlad.aggregate(m.vlad.as_arrays(), enc.encode_array(m.encoder, img))
+            array = vlad.aggregate(m.vlad.as_arrays(), enc.encode(m.encoder.as_arrays(), img))
             assert np.array_equal(graph, array)
 
     def test_region_paths_match_bitwise(self):
@@ -54,7 +54,7 @@ class TestDescriptors:
         img = sample_images(7, n=1, shape=(32, 96))[0]
         graph = vlad.aggregate_regions(m.vlad, enc.encode(m.encoder, img), ALL_REGION_IDS).data
         array = vlad.aggregate_regions(
-            m.vlad.as_arrays(), enc.encode_array(m.encoder, img), ALL_REGION_IDS
+            m.vlad.as_arrays(), enc.encode(m.encoder.as_arrays(), img), ALL_REGION_IDS
         )
         assert isinstance(array, np.ndarray)
         assert np.array_equal(graph, array)
@@ -63,7 +63,7 @@ class TestDescriptors:
         # A 4x12 map: every region has at least 2 positions, so each row is
         # bitwise the whole-map descriptor of the cropped block.
         m = mdl.init_model(8, sample_images(8))
-        fm = enc.encode_array(m.encoder, sample_images(9, n=1, shape=(32, 96))[0])
+        fm = enc.encode(m.encoder.as_arrays(), sample_images(9, n=1, shape=(32, 96))[0])
         assert fm.shape[1:] == (4, 12)
         rows = vlad.aggregate_regions(m.vlad.as_arrays(), fm, ALL_REGION_IDS)
         blocks = literal_region_blocks(fm)

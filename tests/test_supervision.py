@@ -7,10 +7,10 @@ import pytest
 
 from _oracles import per_positive_soft_labels
 from regionsim import autograd as ag
+from regionsim import encoder as enc
 from regionsim import supervision as sup
 from regionsim import vlad
-from regionsim.encoder import encode_array
-from regionsim.errors import IntegrityError, ParameterError, ShapeError
+from regionsim.errors import IntegrityError, ParameterError
 from regionsim.model import init_model
 from regionsim.regions import ALL_REGION_IDS, HALVES_ONLY_IDS
 
@@ -38,15 +38,20 @@ def one_pixel_maps(descs):
     return [np.asarray(v, dtype=np.float64)[:, None, None] for v in descs]
 
 
+def region_matrices(params, fms, region_ids=ALL_REGION_IDS):
+    """Each map's (R, K*D) region matrix, as the teacher describes a positive."""
+    return [vlad.aggregate_regions(params.as_arrays(), fm, region_ids) for fm in fms]
+
+
 class TestImageSoftLabels:
     """Image-level labels: ``region_soft_labels`` on the full map only."""
 
     def test_frozen_two_positive_example(self):
         q = np.array([1.0, 0.0])
         fms = one_pixel_maps([[0.9, np.sqrt(1 - 0.81)], [0.7, np.sqrt(1 - 0.49)]])
-        params = unit_center_params(2)
+        mats = region_matrices(unit_center_params(2), fms, (0,))
         rec = sup.region_soft_labels(
-            q, [4, 9], fms, params, tau=0.07, generation=1, query_id=2, region_ids=(0,)
+            q, [4, 9], mats, tau=0.07, generation=1, query_id=2, region_ids=(0,)
         )
         np.testing.assert_allclose(np.round(rec.weights, 4), [0.9457, 0.0543])
         assert rec.entries == ((4, 0), (9, 0))
@@ -55,15 +60,15 @@ class TestImageSoftLabels:
     def test_equal_sims_give_uniform(self):
         q = np.array([1.0, 0.0])
         fms = one_pixel_maps([[0.5, 0.3]] * 4)
-        rec = sup.region_soft_labels(
-            q, [0, 1, 2, 3], fms, unit_center_params(2), 0.07, 1, region_ids=(0,)
-        )
+        mats = region_matrices(unit_center_params(2), fms, (0,))
+        rec = sup.region_soft_labels(q, [0, 1, 2, 3], mats, 0.07, 1, region_ids=(0,))
         np.testing.assert_allclose(rec.weights, [0.25] * 4, atol=1e-12)
 
     def test_single_positive_gets_full_weight(self):
         q = np.ones(3) / np.sqrt(3.0)
         fms = one_pixel_maps([np.ones(3)])
-        rec = sup.region_soft_labels(q, [7], fms, unit_center_params(3), 0.05, 2, region_ids=(0,))
+        mats = region_matrices(unit_center_params(3), fms, (0,))
+        rec = sup.region_soft_labels(q, [7], mats, 0.05, 2, region_ids=(0,))
         np.testing.assert_allclose(rec.weights, [1.0])
         assert rec.entries == ((7, 0),)
 
@@ -74,7 +79,8 @@ class TestImageSoftLabels:
             k = int(rng.integers(1, 12))
             fms = [rng.normal(size=(3, 2, 4)) for _ in range(k)]
             q = unit_rows(rng, 1, 12)[0]
-            rec = sup.region_soft_labels(q, list(range(k)), fms, params, 0.06, 2, region_ids=(0,))
+            mats = region_matrices(params, fms, (0,))
+            rec = sup.region_soft_labels(q, list(range(k)), mats, 0.06, 2, region_ids=(0,))
             assert abs(sum(rec.weights) - 1.0) <= 1e-6
             assert rec.entries == tuple((i, 0) for i in range(k))
 
@@ -88,7 +94,7 @@ class TestRegionSoftLabels:
         params = self.make_params()
         fm = np.tile(np.array([0.4, -0.1, 0.2])[:, None, None], (1, 4, 6))
         q = np.ones(12) / np.sqrt(12.0)
-        rec = sup.region_soft_labels(q, [3], [fm], params, 0.07, 1)
+        rec = sup.region_soft_labels(q, [3], region_matrices(params, [fm]), 0.07, 1)
         assert len(rec.entries) == 9
         np.testing.assert_allclose(rec.weights, [1.0 / 9] * 9, atol=1e-9)
 
@@ -97,7 +103,7 @@ class TestRegionSoftLabels:
         rng = np.random.default_rng(202)
         fms = [rng.normal(size=(3, 4, 6)) for _ in range(2)]
         q = unit_rows(rng, 1, 12)[0]
-        rec = sup.region_soft_labels(q, [11, 5], fms, params, 0.07, 1)
+        rec = sup.region_soft_labels(q, [11, 5], region_matrices(params, fms), 0.07, 1)
         assert rec.entries == sup.expected_entries([11, 5], ALL_REGION_IDS)
         assert len(rec.entries) == 18
         sup.validate_record(rec, ALL_REGION_IDS)
@@ -114,7 +120,8 @@ class TestRegionSoftLabels:
         # Second positive's top-right quarter carries the matching texture.
         planted = clash.copy()
         planted[:, 0:2, 4:8] = (c[0] + 0.2 * v)[:, None, None]
-        rec = sup.region_soft_labels(q, [0, 1], [clash, planted], params, 0.07, 1)
+        mats = region_matrices(params, [clash, planted])
+        rec = sup.region_soft_labels(q, [0, 1], mats, 0.07, 1)
         top_entry = rec.entries[int(np.argmax(rec.weights))]
         assert top_entry == (1, 6)
 
@@ -123,9 +130,8 @@ class TestRegionSoftLabels:
         rng = np.random.default_rng(203)
         fm = rng.normal(size=(3, 4, 6))
         q = unit_rows(rng, 1, 12)[0]
-        rec = sup.region_soft_labels(
-            q, [2], [fm], params, 0.07, 1, region_ids=HALVES_ONLY_IDS
-        )
+        mats = region_matrices(params, [fm], HALVES_ONLY_IDS)
+        rec = sup.region_soft_labels(q, [2], mats, 0.07, 1, region_ids=HALVES_ONLY_IDS)
         assert rec.entries == ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4))
         sup.validate_record(rec, HALVES_ONLY_IDS)
 
@@ -133,12 +139,15 @@ class TestRegionSoftLabels:
         rng = np.random.default_rng(218)
         images = rng.uniform(0.0, 1.0, size=(10, 32, 96))
         model = init_model(5, images[:4])
-        fms = [encode_array(model.encoder, img) for img in images[4:9]]
-        q = vlad.aggregate(model.vlad.as_arrays(), encode_array(model.encoder, images[9]))
+        fms = [enc.encode(model.encoder.as_arrays(), img) for img in images[4:9]]
+        q = vlad.aggregate(model.vlad.as_arrays(), enc.encode(model.encoder.as_arrays(), images[9]))
+        ids = [4, 1, 8, 0, 6]
         for region_ids in (ALL_REGION_IDS, HALVES_ONLY_IDS, (0,)):
-            args = (q, [4, 1, 8, 0, 6], fms, model.vlad, 0.06, 2)
-            got = sup.region_soft_labels(*args, query_id=3, region_ids=region_ids)
-            want = per_positive_soft_labels(*args, query_id=3, region_ids=region_ids)
+            mats = region_matrices(model.vlad, fms, region_ids)
+            got = sup.region_soft_labels(q, ids, mats, 0.06, 2, query_id=3, region_ids=region_ids)
+            want = per_positive_soft_labels(
+                q, ids, fms, model.vlad, 0.06, 2, query_id=3, region_ids=region_ids
+            )
             assert got == want
 
     def test_matches_per_positive_oracle_on_odd_sizes(self):
@@ -149,17 +158,10 @@ class TestRegionSoftLabels:
             fms = [rng.normal(size=(5, h, w)) for _ in range(int(rng.integers(1, 7)))]
             q = unit_rows(rng, 1, 15)[0]
             ids = list(range(len(fms)))
-            got = sup.region_soft_labels(q, ids, fms, params, 0.07, 1)
+            got = sup.region_soft_labels(q, ids, region_matrices(params, fms), 0.07, 1)
             want = per_positive_soft_labels(q, ids, fms, params, 0.07, 1)
             assert got.entries == want.entries
             np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-15)
-
-    def test_rejects_positives_of_different_shapes(self):
-        params = self.make_params(4)
-        rng = np.random.default_rng(217)
-        fms = [rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 8))]
-        with pytest.raises(ShapeError):
-            sup.region_soft_labels(unit_rows(rng, 1, 12)[0], [0, 1], fms, params, 0.07, 1)
 
     def test_validate_rejects_shuffled_entries(self):
         rec = sup.SoftLabelRecord(

@@ -254,6 +254,17 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             sc.load_dataset(root)
 
+    def test_load_rejects_an_image_of_another_shape(self, tmp_path):
+        ds = sc.generate_dataset(small_spec(19))
+        root = str(tmp_path / "world")
+        sc.write_dataset(ds, root)
+        h, w = ds.spec.image_height, ds.spec.image_width - 32
+        narrow = np.zeros((h, w), dtype="<f4")
+        with open(os.path.join(root, "img_00003.bin"), "wb") as fh:
+            fh.write(np.array([h, w], dtype="<u4").tobytes() + narrow.tobytes())
+        with pytest.raises(DatasetError, match=f"is {h}x{w}"):
+            sc.load_dataset(root)
+
     @pytest.mark.parametrize("name", ["manifest.csv", "truth.csv"])
     @pytest.mark.parametrize("change", ["extra field", "missing field", "non-numeric"])
     def test_load_rejects_malformed_csv_line(self, tmp_path, name, change):

@@ -5,18 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import per_image_batch_loss
+from _oracles import per_image_batch_loss, per_positive_soft_labels
 from regionsim import autograd as ag
 from regionsim import checkpoint as ck
+from regionsim import encoder as enc
 from regionsim import trainer
 from regionsim.config import RunConfig
-from regionsim.encoder import encode_array
-from regionsim.errors import EvaluationError, SequencingError, ShapeError
+from regionsim.errors import EvaluationError, ParameterError, SequencingError, ShapeError
 from regionsim.model import init_model
+from regionsim.regions import ALL_REGION_IDS, HALVES_ONLY_IDS
 from regionsim.seeding import derive_rng
 from regionsim.supervision import format_record
 from regionsim.synthcity import Dataset, WorldSpec, generate_dataset
-from regionsim.vlad import aggregate
+from regionsim.vlad import aggregate, aggregate_regions
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +125,10 @@ class TestEncodeImages:
         rng = derive_rng(0, "enc-images")
         model = init_model(0, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = small_ds.split("train-gallery")[:12]
-        fms1, descs1 = trainer.encode_images(model, images, workers=1)
-        fms4, descs4 = trainer.encode_images(model, images, workers=4)
+        mats1, descs1 = trainer.encode_images(model, images, 1, ALL_REGION_IDS)
+        mats4, descs4 = trainer.encode_images(model, images, 4, ALL_REGION_IDS)
         np.testing.assert_array_equal(descs1, descs4)
-        for a, b in zip(fms1, fms4):
+        for a, b in zip(mats1, mats4):
             np.testing.assert_array_equal(a, b)
 
     def test_rows_follow_input_order(self, small_ds):
@@ -136,48 +137,61 @@ class TestEncodeImages:
         images = small_ds.split("train-gallery")[:6]
         _, descs = trainer.encode_images(model, images, workers=3)
         for i, img in enumerate(images):
-            expect = aggregate(model.vlad.as_arrays(), encode_array(model.encoder, img.pixels))
-            np.testing.assert_array_equal(descs[i], expect)
+            fm = enc.encode(model.encoder.as_arrays(), img.pixels)
+            np.testing.assert_array_equal(descs[i], aggregate(model.vlad.as_arrays(), fm))
 
-    def per_image(self, model, images):
-        return [
-            (fm, aggregate(model.vlad.as_arrays(), fm))
-            for fm in (encode_array(model.encoder, img.pixels) for img in images)
-        ]
+    def per_image(self, model, images, region_ids):
+        """Each image's region matrix and descriptor, from its own map."""
+        arrays = model.as_arrays()
+        for img in images:
+            fm = enc.encode(arrays.encoder, img.pixels)
+            yield aggregate_regions(arrays.vlad, fm, region_ids), aggregate(arrays.vlad, fm)
 
     def test_partial_last_chunk_matches_single_images(self, small_ds):
         # 37 images: two full chunks of 16 and a last one of 5.
         rng = derive_rng(2, "enc-images")
         model = init_model(2, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = small_ds.split("train-gallery")[:37]
-        fms1, descs1 = trainer.encode_images(model, images, workers=1)
-        fms3, descs3 = trainer.encode_images(model, images, workers=3)
-        assert np.array_equal(descs1, descs3)
-        assert len(fms1) == len(fms3) == len(images) == descs1.shape[0]
-        for fm1, fm3, (fm, desc), row in zip(fms1, fms3, self.per_image(model, images), descs1):
-            assert np.array_equal(fm1, fm3)
-            assert np.array_equal(fm1, fm)
-            assert np.array_equal(row, desc)
+        for region_ids in ((0,), HALVES_ONLY_IDS, ALL_REGION_IDS):
+            mats1, descs1 = trainer.encode_images(model, images, 1, region_ids)
+            mats3, descs3 = trainer.encode_images(model, images, 3, region_ids)
+            assert np.array_equal(descs1, descs3)
+            assert len(mats1) == len(mats3) == len(images) == descs1.shape[0]
+            want = self.per_image(model, images, region_ids)
+            for m1, m3, (m, desc), row in zip(mats1, mats3, want, descs1):
+                assert m1.shape == (len(region_ids), model.descriptor_dim)
+                assert np.array_equal(m1, m3) and np.array_equal(m1, m)
+                assert np.array_equal(row, desc) and np.array_equal(m1[0], row)
 
-    def test_shape_change_starts_a_new_chunk(self, small_ds):
+    def test_matrices_are_views_of_their_chunk(self, small_ds):
         rng = derive_rng(3, "enc-images")
         model = init_model(3, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
-        gallery = small_ds.split("train-gallery")
+        mats, _ = trainer.encode_images(model, small_ds.split("train-gallery")[:20], 1, (0, 3))
+        assert all(m.base is mats[0].base for m in mats[:16])
+        assert all(m.base is mats[16].base for m in mats[16:])
+        assert mats[0].base is not mats[16].base
+
+    def test_region_ids_must_start_with_the_full_map(self, small_ds):
+        rng = derive_rng(3, "enc-images")
+        model = init_model(3, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
+        with pytest.raises(ParameterError, match="full map"):
+            trainer.encode_images(model, small_ds.split("train-gallery")[:2], 1, (1, 0))
+
+    def test_images_of_two_shapes_in_one_chunk_raise(self, small_ds):
+        rng = derive_rng(3, "enc-images")
+        model = init_model(3, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = [
-            replace(img, pixels=img.pixels[:, :64]) if i in (3, 4, 9) else img
-            for i, img in enumerate(gallery[:12])
+            replace(img, pixels=img.pixels[:, :64]) if i == 3 else img
+            for i, img in enumerate(small_ds.split("train-gallery")[:12])
         ]
-        fms, descs = trainer.encode_images(model, images, workers=2)
-        for got, row, (fm, desc) in zip(fms, descs, self.per_image(model, images)):
-            assert np.array_equal(got, fm)
-            assert np.array_equal(row, desc)
-        assert [fm.shape for fm in fms[2:5]] == [(16, 4, 12), (16, 4, 8), (16, 4, 8)]
+        with pytest.raises(ShapeError, match="share one shape"):
+            trainer.encode_images(model, images, workers=2)
 
     def test_no_images(self):
         rng = derive_rng(4, "enc-images")
         model = init_model(4, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
-        fms, descs = trainer.encode_images(model, [], workers=3)
-        assert fms == [] and descs.shape == (0, model.descriptor_dim)
+        mats, descs = trainer.encode_images(model, [], workers=3)
+        assert mats == [] and descs.shape == (0, model.descriptor_dim)
 
 
 class TestDescribeChunks:
@@ -201,11 +215,11 @@ class TestDescribeChunks:
 
 class TestEncodeChunks:
     def test_runs_of_one_shape_up_to_the_chunk_size(self):
-        small, wide = np.zeros((8, 8)), np.zeros((8, 16))
-        pixels = [small] * 20 + [wide] * 3 + [small]
+        # A world has one image shape, so the runs follow the image count.
         assert trainer.ENCODE_CHUNK == 16
-        want = [range(0, 16), range(16, 20), range(20, 23), range(23, 24)]
-        assert trainer.encode_chunks(pixels) == want
+        want = [range(0, 16), range(16, 32), range(32, 37)]
+        assert trainer.encode_chunks([np.zeros((8, 8))] * 37) == want
+        assert trainer.encode_chunks([np.zeros((8, 8))] * 16) == [range(0, 16)]
         assert trainer.encode_chunks([]) == []
 
 
@@ -329,6 +343,27 @@ class TestGenerationTargets:
 
     def test_positives_and_records_aligned(self, small_ds, small_cfg):
         self.check_targets(small_ds, small_cfg, 9)
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"use_quarters": False}, {"use_regions": False}],
+        ids=["full", "halves_only", "no_regions"],
+    )
+    def test_records_match_per_positive_oracle(self, small_ds, kw):
+        """Each record equals the labels built from every positive's own
+        single-image feature map, one aggregation per positive."""
+        cfg = RunConfig.create(generations=2, epochs=1, k_positives=5, eval_out_dim=32, **kw)
+        model = self.frozen(small_ds)
+        t = trainer.compute_generation_targets(model, small_ds, cfg, omega=2)
+        arrays = model.as_arrays()
+        gallery = small_ds.split("train-gallery")
+        for q, rows, rec in zip(small_ds.split("train-query"), t.positives, t.records):
+            fms = [enc.encode(arrays.encoder, gallery[r].pixels) for r in rows]
+            q_desc = aggregate(arrays.vlad, enc.encode(arrays.encoder, q.pixels))
+            want = per_positive_soft_labels(
+                q_desc, [gallery[r].id for r in rows], fms, model.vlad, cfg.taus[0], 1,
+                query_id=q.id, region_ids=trainer._label_region_ids(cfg),
+            )
+            assert rec == want
 
     def test_record_ids_are_global_image_ids(self, small_ds, small_cfg):
         model = self.frozen(small_ds)

@@ -159,7 +159,7 @@ class TestStacks:
     def test_encoded_stack_rows_equal_per_map_rows_bitwise(self):
         rng = np.random.default_rng(20)
         params = enc.init_encoder(3)
-        fms = enc.encode_array(params, rng.uniform(0.0, 1.0, size=(16, 32, 96)))
+        fms = enc.encode(params.as_arrays(), rng.uniform(0.0, 1.0, size=(16, 32, 96)))
         assert fms.shape == (16, 16, 4, 12)
         centers = vlad.init_centers(fms.reshape(16, -1).T, vlad.DEFAULT_K, 3)
         arrays = vlad.VladParams(centers)
