@@ -4,7 +4,8 @@ Implements exactly the closed set of operations the retrieval model needs
 (convolution, ReLU, matmul, softmax, L2 normalization, dot products,
 soft cross-entropy, softplus) plus the shape plumbing to connect them.
 Convolution and matmul take a leading batch axis, so one node serves a
-whole stack of images.
+whole stack of images, and a convolution layer is one im2col gather and
+one BLAS product.
 Backward accumulation follows the graph construction order, so repeated
 runs are bitwise deterministic.
 
@@ -485,13 +486,20 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
     """2-D convolution of a (Cin, B, H, W) stack with (Cout, Cin, kh, kw) kernels.
 
     Returns a (Cout, B, H', W') stack; a single (Cin, H, W) map is the
-    B = 1 case and keeps its rank. Each kernel offset is one
-    ``w[:, :, i, j] @ patch`` product over all B*H'*W' output positions (a
-    broadcast multiply when Cin = 1), summed in a fixed offset order, so
-    repeated evaluations are bitwise identical. A position's sum over Cin
-    does not depend on the other images of its stack, except that BLAS may
-    round a column at the edge of its tiling differently, by an ulp or so,
-    where H'*W' is not a multiple of the tile width.
+    B = 1 case and keeps its rank. Each layer is one im2col product: the
+    kernel offsets' windows of the zero-padded stack fill one
+    (Cin*kh*kw, B*H'*W') column buffer, and ``w.reshape(Cout, -1) @ cols``
+    plus the bias is the output. Backward rebuilds the columns from the
+    padded input for its one weight-gradient product, so no column buffer
+    lives between forward and backward, and scatter-adds one ``w.T @ g``
+    product per offset into the input gradient.
+
+    Repeated evaluations are bitwise identical. Each output is one BLAS dot
+    product over the Cin*kh*kw taps, so it rounds differently, at the 1e-16
+    level, from a sum of per-offset products. It does not depend on the
+    other images of its stack, except that BLAS may round a column at the
+    edge of its tiling differently, by an ulp or so, where H'*W' is not a
+    multiple of the tile width.
     """
     xd, wdata, bd = _data(x), _data(w), _data(b)
     if xd.ndim not in (3, 4) or wdata.ndim != 4 or bd.ndim != 1:
@@ -505,19 +513,27 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
     w_out = (wd + 2 * pad - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"input {h}x{wd} too small for kernel {kh}x{kw} stride {stride}")
-    xp = np.pad(xs, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xs
-    offsets = [
-        (i, j, np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride])
+    xp = xs
+    if pad:
+        xp = np.zeros((cin, n, h + 2 * pad, wd + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + wd] = xs
+    windows = [
+        np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
         for i in range(kh)
         for j in range(kw)
     ]
-    acc = np.repeat(bd[:, None], n * h_out * w_out, axis=1)
-    for i, j, at in offsets:
-        patch = xp[at].reshape(cin, -1)
-        # One input channel: a K = 1 product is one multiply per entry, so
-        # the broadcast product has its bits without the BLAS call.
-        acc = acc + (wdata[:, :, i, j] * patch if cin == 1 else wdata[:, :, i, j] @ patch)
-    out_data = acc.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
+    wm = wdata.reshape(cout, -1)
+
+    def columns():
+        # Row (c, i, j) is channel c at offset (i, j), as in w.reshape(Cout, -1).
+        cols = np.empty((cin, kh * kw, n, h_out, w_out))
+        for k, at in enumerate(windows):
+            cols[:, k] = xp[at]
+        return cols.reshape(cin * kh * kw, -1)
+
+    out = wm @ columns()
+    out += bd[:, None]
+    out_data = out.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
     if not any(isinstance(t, Tensor) for t in (x, w, b)):
         return out_data
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -526,18 +542,14 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
         gm = g.reshape(cout, -1)
         if b.requires_grad:
             b._accumulate(gm.sum(axis=1))
-        need_x = x.requires_grad
-        gxp = np.zeros_like(xp) if need_x else None
-        for i, j, at in offsets:
-            if w.requires_grad:
-                if w.grad is None:
-                    w.grad = np.zeros_like(w.data)
-                w.grad[:, :, i, j] += gm @ xp[at].reshape(cin, -1).T
-            if need_x:
-                gxp[at] += (w.data[:, :, i, j].T @ gm).reshape(cin, n, h_out, w_out)
-        if need_x:
-            gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
-            x._accumulate(gx.reshape(xd.shape))
+        if w.requires_grad:
+            w._accumulate((gm @ columns().T).reshape(wdata.shape))
+        if x.requires_grad:
+            gcols = (wm.T @ gm).reshape(cin, kh * kw, n, h_out, w_out)
+            gxp = np.zeros_like(xp)
+            for k, at in enumerate(windows):
+                gxp[at] += gcols[:, k]
+            x._accumulate(gxp[:, :, pad : pad + h, pad : pad + wd].reshape(xd.shape))
 
     return Tensor(out_data, _parents=(x, w, b), _backward=backward)
 

@@ -8,7 +8,7 @@ with array parameters (:meth:`EncoderParams.as_arrays`) it returns a plain
 array for mining and evaluation, where no gradients are needed.
 
 Images carry a batch axis: a (B, H, W) stack of same-shape images runs
-through one conv product per kernel offset and layer, in the conv layout
+through one im2col product per layer, in the conv layout
 (16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Training
 graphs and the gradient-free callers alike encode fixed chunks of images,
 one stack each, through the one loop ``trainer.describe_chunks``.

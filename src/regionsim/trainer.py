@@ -60,8 +60,10 @@ from .synthcity import Dataset, GeoImage
 
 
 # Images per gradient-free encoder stack. Fixed, so that the worker count
-# never changes a stack. On 32x96 images, chunks of 8-16 encode fastest;
-# from 32 up a chunk's layer outputs no longer stay in cache.
+# never changes a stack. On 32x96 images at one BLAS thread (2-vCPU Xeon
+# VM, 2 MiB L2 per core), encode_images takes 212/186/178/191/257 us per
+# image at chunks of 4/8/16/32/64: from 32 up, layer 2's column buffer
+# (3.5 MB) outgrows the L2.
 ENCODE_CHUNK = 16
 
 

@@ -45,6 +45,46 @@ def brute_k_reciprocal(query_desc, gallery_descs, k):
     return mutual + plain
 
 
+def per_offset_conv2d(x, w, b, stride, pad):
+    """Convolution as one ``w[:, :, i, j] @ patch`` product per kernel
+    offset, summed in offset order onto the repeated bias, for a
+    (Cin, H, W) map or a (Cin, B, H, W) stack."""
+    xs = x if x.ndim == 4 else x[:, None]
+    cin, n, h, wd = xs.shape
+    cout, _, kh, kw = w.shape
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(xs, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    acc = np.repeat(b[:, None], n * h_out * w_out, axis=1)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            acc = acc + w[:, :, i, j] @ patch.reshape(cin, -1)
+    return acc.reshape((cout,) + x.shape[1:-2] + (h_out, w_out))
+
+
+def per_offset_conv2d_grads(x, w, g, stride, pad):
+    """Gradients (x, w, b) of :func:`per_offset_conv2d` for an upstream
+    gradient ``g``: the weight gradient and the input scatter one product
+    per kernel offset."""
+    xs = x if x.ndim == 4 else x[:, None]
+    cin, n, h, wd = xs.shape
+    cout, _, kh, kw = w.shape
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(xs, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gm = g.reshape(cout, -1)
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            at = np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            gw[:, :, i, j] = gm @ xp[at].reshape(cin, -1).T
+            gxp[at] += (w[:, :, i, j].T @ gm).reshape(cin, n, h_out, w_out)
+    gx = gxp[:, :, pad : pad + h, pad : pad + wd].reshape(x.shape)
+    return gx, gw, gm.sum(axis=1)
+
+
 def brute_hardest_region(query_desc, region_descs):
     """Exhaustive 9-way argmax with explicit lowest-id tie handling."""
     best, best_sim = None, None

@@ -1,8 +1,12 @@
 """Tensor-core tests: frozen numeric examples, properties, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from _oracles import per_offset_conv2d, per_offset_conv2d_grads
 from regionsim import autograd as ag
 from regionsim.errors import (
     DegenerateInputError,
@@ -224,23 +228,22 @@ class TestConv2d:
                 oracle = naive_conv2d(x[:, k], w, b, stride, pad)
                 np.testing.assert_allclose(got[:, k], oracle, atol=1e-12)
 
-    def test_single_input_channel_matches_the_product_form(self):
-        # With Cin = 1 each offset is a broadcast multiply; a K = 1 matrix
-        # product rounds every entry the same, one multiply each.
+    def test_one_product_over_gathered_columns(self):
+        # The layer is w.reshape(Cout, -1) @ cols plus the bias, where row
+        # (c, i, j) of cols is channel c of the padded stack at offset (i, j).
         rng = np.random.default_rng(25)
-        for shape in [(1, 16, 32, 96), (1, 3, 7, 9), (1, 5, 8)]:
+        for shape in [(1, 16, 32, 96), (1, 3, 7, 9), (1, 5, 8), (8, 4, 16, 48), (3, 5, 8)]:
+            cin = shape[0]
             x = rng.normal(size=shape)
-            w = rng.normal(size=(8, 1, 3, 3))
+            w = rng.normal(size=(8, cin, 3, 3))
             b = rng.normal(size=8)
             xs = x if x.ndim == 4 else x[:, None]
             xp = np.pad(xs, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            h_out, w_out = (xs.shape[2] - 1) // 2 + 1, (xs.shape[3] - 1) // 2 + 1
-            acc = np.repeat(b[:, None], xs.shape[1] * h_out * w_out, axis=1)
-            for i in range(3):
-                for j in range(3):
-                    patch = xp[:, :, i : i + 2 * h_out : 2, j : j + 2 * w_out : 2]
-                    acc = acc + w[:, :, i, j] @ patch.reshape(1, -1)
-            want = acc.reshape((8,) + x.shape[1:-2] + (h_out, w_out))
+            win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+            cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(cin * 9, -1)
+            want = (w.reshape(8, -1) @ cols + b[:, None]).reshape(
+                (8,) + x.shape[1:-2] + win.shape[2:4]
+            )
             assert np.array_equal(ag.conv2d(x, w, b, stride=2, pad=1), want)
 
     def test_rejects_channel_mismatch(self):
@@ -254,6 +257,70 @@ class TestConv2d:
         w = ag.constant(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             ag.conv2d(x, w, ag.constant(np.zeros(1)), 1, 0)
+
+
+class TestConv2dAgainstPerOffsetSum:
+    """The one-product conv against the per-offset sum it replaced
+    (``_oracles.per_offset_conv2d``), forward and every gradient."""
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("shape", [(2, 7, 9), (2, 6, 8), (3, 4, 7, 9), (1, 3, 6, 5)])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    def test_forward_and_gradients(self, stride, pad, shape, kernel):
+        rng = np.random.default_rng(len(shape) * 100 + stride * 10 + pad + shape[-1])
+        x = ag.parameter(rng.normal(size=shape))
+        w = ag.parameter(rng.normal(size=(4, shape[0]) + kernel))
+        b = ag.parameter(rng.normal(size=4))
+        out = ag.conv2d(x, w, b, stride, pad)
+        want = per_offset_conv2d(x.data, w.data, b.data, stride, pad)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        g = rng.normal(size=out.shape)
+        (out * g).sum().backward()
+        grads = per_offset_conv2d_grads(x.data, w.data, g, stride, pad)
+        for got, expected in zip((x.grad, w.grad, b.grad), grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_frozen_weight_keeps_its_zero_buffer(self):
+        rng = np.random.default_rng(26)
+        x = ag.parameter(rng.normal(size=(2, 3, 7, 9)))
+        w = ag.parameter(rng.normal(size=(4, 2, 3, 3)))
+        b = ag.parameter(rng.normal(size=4))
+        w.requires_grad = False
+        buffer, before = w.grad, w.grad.tobytes()
+        out = ag.conv2d(x, w, b, stride=2, pad=1)
+        (out * out).sum().backward()
+        assert w.grad is buffer and w.grad.tobytes() == before
+        assert np.any(x.grad != 0.0) and np.any(b.grad != 0.0)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(27)
+        x = ag.constant(rng.normal(size=(1, 3, 8, 8)))
+        w = ag.parameter(rng.normal(size=(4, 1, 3, 3)))
+        b = ag.parameter(rng.normal(size=4))
+        out = ag.conv2d(x, w, b, stride=2, pad=1)
+        (out * out).sum().backward()
+        assert x.grad is None
+        assert np.any(w.grad != 0.0) and np.any(b.grad != 0.0)
+
+    def test_recorded_node_holds_no_column_buffer(self):
+        # Layer 1 of a 16-image 32x96 encode chunk. Between forward and
+        # backward the node may keep its padded input and its output; its
+        # (9, 16*16*48) columns, 864 KiB, are rebuilt in backward instead.
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(1, 16, 32, 96))
+        w = ag.parameter(rng.normal(size=(8, 1, 3, 3)))
+        b = ag.parameter(np.zeros(8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ag.conv2d(x, w, b, stride=2, pad=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        padded = np.zeros((1, 16, 34, 98)).nbytes
+        assert out.requires_grad and out.data.nbytes <= retained
+        assert retained <= padded + out.data.nbytes + 64 * 1024
 
 
 class TestGradients:

@@ -106,8 +106,8 @@ class TestPaths:
 
 
 class TestStacks:
-    """A (B, H, W) stack runs one conv product per kernel offset over all
-    its images; each image's map is the one it gets when encoded alone."""
+    """A (B, H, W) stack runs one im2col product per layer over all its
+    images; each image's map is the one it gets when encoded alone."""
 
     def per_image(self, params, images):
         return np.stack([enc.encode(params, img) for img in images], axis=1)
