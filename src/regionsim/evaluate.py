@@ -4,7 +4,8 @@ Whitening is fit on training descriptors only and applied everywhere at
 inference: mean-center, project onto the leading eigenvectors scaled by
 1/sqrt(eigenvalue + 1e-8), then re-normalize to unit length. Recall@k asks
 whether any of the k most similar gallery images lies within d meters of
-the query's reported position.
+the query's reported position; the gallery is scored and ordered by
+``mining.similarities`` and ``mining.ranked``, as mining orders it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, FitError, ParameterError, ShapeError
+from .mining import ranked, similarities
 
 EIG_FLOOR = 1e-8
 RANK_TOL = 1e-12
@@ -87,12 +89,10 @@ def recall_at_k(
     Ranking is by descending dot-product similarity with ties broken toward
     the lowest gallery id; positions are reported (noisy) coordinates.
     """
-    q = np.asarray(query_descs, dtype=np.float64)
     g = np.asarray(gallery_descs, dtype=np.float64)
     if g.shape[0] == 0:
         raise ParameterError("gallery is empty")
-    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
-        raise ShapeError(f"descriptor shapes do not align: {q.shape} vs {g.shape}")
+    sims = similarities(query_descs, g)
     ks = tuple(int(k) for k in ks)
     if not ks or any(k < 1 for k in ks):
         raise ParameterError(f"k values must be positive: {ks}")
@@ -103,14 +103,12 @@ def recall_at_k(
 
     hits = {k: 0 for k in ks}
     gallery_ids = np.arange(g.shape[0])
-    for i in range(q.shape[0]):
-        sims = g @ q[i]
-        order = np.lexsort((gallery_ids, -sims))
-        close = np.abs(gp[order] - qp[i]) <= radius_m
+    for i, scores in enumerate(sims):
+        close = np.abs(gp[ranked(scores, gallery_ids)] - qp[i]) <= radius_m
         for k in ks:
             if bool(close[:k].any()):
                 hits[k] += 1
-    n_q = max(q.shape[0], 1)
+    n_q = max(sims.shape[0], 1)
     return {k: hits[k] / n_q for k in ks}
 
 

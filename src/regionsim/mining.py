@@ -4,6 +4,12 @@ All similarity inputs are unit descriptors; geographic eligibility always
 uses reported (noisy) positions, never ground truth. Gallery items are
 addressed by row index, and callers keep row order equal to id order so the
 lowest-id tie-break is the lowest row index everywhere.
+
+:func:`similarities` and :func:`ranked` are the one home of the ranking
+rule that mining and evaluation share: descending score, ties to the lowest
+row. Scores come from ``np.einsum``, which sums each entry over its own two
+rows alone. A BLAS product (``@``) rounds a row by its position in the
+product, so byte-identical gallery images would not tie.
 """
 
 from __future__ import annotations
@@ -21,67 +27,66 @@ NEGATIVE_RADIUS_M = 25.0
 NEGATIVE_POOL_SIZE = 1000
 
 
+def similarities(query_descs: np.ndarray, gallery_descs: np.ndarray) -> np.ndarray:
+    """(Q, G) dot products of every query row with every gallery row; each
+    entry depends only on its own two rows."""
+    q = np.asarray(query_descs, dtype=np.float64)
+    g = np.asarray(gallery_descs, dtype=np.float64)
+    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
+        raise ShapeError(f"descriptor shapes do not align: {q.shape} vs {g.shape}")
+    return np.einsum("qd,gd->qg", q, g)
+
+
+def ranked(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` by descending ``scores[rows]``, ties to the lowest row."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return rows[np.lexsort((rows, -scores[rows]))]
+
+
 def difficult_positives(
-    query_pos: float,
-    query_desc: np.ndarray,
-    gallery_pos: np.ndarray,
-    gallery_descs: np.ndarray,
-    k: int,
+    query_pos: float, scores: np.ndarray, gallery_pos: np.ndarray, k: int
 ) -> list[int]:
     """The query's positive candidates, most similar first, at most k.
 
     Candidates are the gallery items reported within 10 m of the query's
     reported position, the only positives the noisy GPS labels admit. They
-    are ranked by descending similarity, ties to the lowest gallery index.
-    Fewer than k candidates give a shorter list, none an empty one.
+    are :func:`ranked` by the query's gallery ``scores``. Fewer than k
+    candidates give a shorter list, none an empty one.
     """
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     eligible = np.flatnonzero(np.abs(gallery_pos - query_pos) <= POSITIVE_RADIUS_M)
-    sims = gallery_descs[eligible] @ query_desc
-    order = np.lexsort((eligible, -sims))  # similarity desc, then lowest id
-    return [int(i) for i in eligible[order][:k]]
+    return ranked(scores, eligible)[:k].tolist()
 
 
 def easiest_positive(
-    query_pos: float,
-    query_desc: np.ndarray,
-    gallery_pos: np.ndarray,
-    gallery_descs: np.ndarray,
+    query_pos: float, scores: np.ndarray, gallery_pos: np.ndarray
 ) -> Optional[int]:
-    """Most similar gallery item within 10 m; None signals no candidate.
-
-    Ties on similarity resolve to the lowest gallery index.
-    """
-    rows = difficult_positives(query_pos, query_desc, gallery_pos, gallery_descs, 1)
+    """Most similar gallery item within 10 m; None signals no candidate."""
+    rows = difficult_positives(query_pos, scores, gallery_pos, 1)
     return rows[0] if rows else None
 
 
 def sample_negatives(
     query_pos: float,
-    query_desc: np.ndarray,
+    scores: np.ndarray,
     gallery_pos: np.ndarray,
-    gallery_descs: np.ndarray,
     rng: np.random.Generator,
     n: int = 10,
     pool_size: int = NEGATIVE_POOL_SIZE,
 ) -> list[int]:
     """Uniform sample of n ids from the hardest far-away gallery images.
 
-    The candidate pool is the min(pool_size, available) most query-similar
-    images beyond 25 m. A pool smaller than n is returned whole; the caller
-    reads the short length as the exhaustion signal.
+    The candidate pool is the min(pool_size, available) images beyond 25 m
+    that rank first by the query's gallery ``scores``. A pool smaller than n
+    is returned whole; the caller reads the short length as the exhaustion
+    signal.
     """
     far = np.flatnonzero(np.abs(gallery_pos - query_pos) > NEGATIVE_RADIUS_M)
-    if far.size == 0:
-        return []
-    sims = gallery_descs[far] @ query_desc
-    order = np.lexsort((far, -sims))  # similarity desc, then lowest id
-    pool = far[order][: min(pool_size, far.size)]
+    pool = ranked(scores, far)[:pool_size]
     if pool.size <= n:
-        return [int(i) for i in pool]
-    picked = rng.choice(pool.size, size=n, replace=False)
-    return [int(pool[i]) for i in picked]
+        return pool.tolist()
+    return pool[rng.choice(pool.size, size=n, replace=False)].tolist()
 
 
 def _neighbor_order(dist2: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -128,23 +133,6 @@ def k_reciprocal(
     ordered = [int(i) for i in topk if reciprocal[i]]
     ordered += [int(i) for i in topk if not reciprocal[i]]
     return ordered
-
-
-def plain_top_k(
-    query_desc: np.ndarray,
-    gallery_descs: np.ndarray,
-    k: int,
-) -> list[int]:
-    """Plain Euclidean top-k gallery rows: ascending distance, ties lowest id."""
-    g = np.asarray(gallery_descs, dtype=np.float64)
-    q = np.asarray(query_desc, dtype=np.float64)
-    if g.ndim != 2 or q.ndim != 1 or g.shape[1] != q.shape[0]:
-        raise ShapeError(f"descriptor shapes do not align: {g.shape} vs {q.shape}")
-    if not 1 <= k <= g.shape[0]:
-        raise ParameterError(f"k must lie in [1, {g.shape[0]}], got {k}")
-    diff = g - q
-    d2 = (diff * diff).sum(axis=1)
-    return [int(i) for i in _neighbor_order(d2, np.arange(g.shape[0]))[:k]]
 
 
 def hardest_negative_region(

@@ -13,7 +13,9 @@ Difficult positives come from the same pool as generation 1's positive:
 the gallery images reported within 10 m of the query. The frozen teacher
 ranks them and keeps at most k, so a query with fewer candidates gets
 fewer, and a query with none is skipped in every generation. Only the
-naive top-k ablation mines over the whole gallery.
+naive top-k ablation mines over the whole gallery. Every ranking reads one
+``mining.similarities`` matrix per descriptor cache and orders it by
+``mining.ranked``, the one tie rule.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .mining import (
     easiest_positive,
     hardest_negative_region,
     k_reciprocal,  # noqa: F401  unused here; perfbench traces it as trainer.k_reciprocal
-    plain_top_k,
+    ranked,
     sample_negatives,
+    similarities,
 )
 from .model import Model, init_model
 from .regions import ALL_REGION_IDS, FULL_REGION, HALVES_ONLY_IDS
@@ -65,6 +68,12 @@ from .synthcity import Dataset, GeoImage
 # image at chunks of 4/8/16/32/64: from 32 up, layer 2's column buffer
 # (3.5 MB) outgrows the L2.
 ENCODE_CHUNK = 16
+
+# Mean query-gallery cosine of an epoch cache above which the descriptors
+# count as collapsed. It read 0.08-0.72 in every epoch of the acceptance
+# chains (seeds 0-2). A run that collapsed (seed 7, 15 epochs, naive
+# top-k, generation 3) read at most 0.56 in epochs 0-12, then 0.98, 1.00.
+COLLAPSE_COSINE = 0.95
 
 
 def params_digest(model: Model) -> str:
@@ -219,7 +228,7 @@ def compute_generation_targets(
     and cut to ``cfg.k_positives``; the first of them is the hard-loss
     positive. A query with no candidate gets no positives and no record,
     and training skips it, as generation 1 does. Only the naive top-k
-    ablation ignores GPS and takes the plain top-k over the whole gallery.
+    ablation ignores GPS and takes the top-k over the whole gallery.
     Each gallery image is described once, with the label region set, and
     a query's soft labels read its positives' region matrices.
     """
@@ -231,17 +240,16 @@ def compute_generation_targets(
     g_regions, g_descs = encode_images(frozen_model, train_g, cfg.workers, region_ids)
     _, q_descs = encode_images(frozen_model, train_q, cfg.workers)
     g_pos = np.array([img.reported_x for img in train_g])
+    sims = similarities(q_descs, g_descs)
     tau = cfg.taus[omega - 2]
 
     positives: list[tuple[int, ...]] = []
     records: list[SoftLabelRecord] = []
     for qrow, qimg in enumerate(train_q):
         if cfg.naive_topk:
-            rows = plain_top_k(q_descs[qrow], g_descs, cfg.k_positives)
+            rows = ranked(sims[qrow], np.arange(len(train_g)))[: cfg.k_positives].tolist()
         else:
-            rows = difficult_positives(
-                qimg.reported_x, q_descs[qrow], g_pos, g_descs, cfg.k_positives
-            )
+            rows = difficult_positives(qimg.reported_x, sims[qrow], g_pos, cfg.k_positives)
         positives.append(tuple(rows))
         if not rows or not cfg.use_soft:
             continue
@@ -261,11 +269,9 @@ def compute_generation_targets(
 
 def _batch_loss(
     model: Model,
-    batch: list[tuple[int, tuple[int, ...], tuple[int, ...]]],
+    batch: list[tuple[int, tuple[int, ...], tuple[int, ...], Optional[SoftLabelRecord]]],
     train_q: list[GeoImage],
     train_g: list[GeoImage],
-    records_by_qrow: dict[int, SoftLabelRecord],
-    gid_to_row: dict[int, int],
     cfg: RunConfig,
     omega: int,
 ) -> ag.Tensor:
@@ -280,7 +286,8 @@ def _batch_loss(
     region matrix (the full map alone in generation 1), and negative
     regions, when on, come from the same set. Tuples read their rows out of
     these stacks, so an image used by several tuples is one row whose
-    gradient accumulates from every consumer.
+    gradient accumulates from every consumer. A tuple's soft-label record,
+    if any, lists exactly its positive rows in order.
     """
     region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
 
@@ -289,8 +296,8 @@ def _batch_loss(
         done = describe_chunks(model, [split[r] for r in rows], rids)
         return {rows[i]: (fms, descs, j) for run, fms, descs in done for j, i in enumerate(run)}
 
-    queries = describe(train_q, list(dict.fromkeys(q for q, _, _ in batch)), (FULL_REGION,))
-    used = (row for _, pos_rows, negs in batch for row in pos_rows + negs)
+    queries = describe(train_q, list(dict.fromkeys(q for q, _, _, _ in batch)), (FULL_REGION,))
+    used = (row for _, pos_rows, negs, _ in batch for row in pos_rows + negs)
     gallery = describe(train_g, list(dict.fromkeys(used)), region_ids)
 
     def regions(grow: int) -> ag.Tensor:
@@ -302,7 +309,7 @@ def _batch_loss(
         return rows[j, region_ids.index(rid)]
 
     losses = []
-    for qrow, pos_rows, negs in batch:
+    for qrow, pos_rows, negs, rec in batch:
         _, rows, j = queries[qrow]
         q = rows[j, 0]
         if omega >= 2 and cfg.use_neg_regions:
@@ -325,9 +332,8 @@ def _batch_loss(
             tuple_loss = ag.scale(functools.reduce(ag.add, terms), 1.0 / len(pos_rows))
         else:
             tuple_loss = hard_loss(q, gallery_desc(pos_rows[0]), neg_descs)
-            if omega >= 2 and cfg.use_soft:
-                rec = records_by_qrow[qrow]
-                sims = region_sims(q, [regions(gid_to_row[g]) for g in rec.positive_ids])
+            if rec is not None:
+                sims = region_sims(q, [regions(prow) for prow in pos_rows])
                 tuple_loss = total_loss(tuple_loss, soft_loss(sims, rec), cfg.lam)
         losses.append(tuple_loss)
 
@@ -384,20 +390,28 @@ def train_generation(
 
     q_pos = np.array([img.reported_x for img in train_q])
     g_pos = np.array([img.reported_x for img in train_g])
-    gid_to_row = {img.id: r for r, img in enumerate(train_g)}
-    qid_to_row = {img.id: r for r, img in enumerate(train_q)}
-    records_by_qrow = {qid_to_row[rec.query_id]: rec for rec in records}
+    by_query = {rec.query_id: rec for rec in records}
+    soft = {qrow: by_query[img.id] for qrow, img in enumerate(train_q) if img.id in by_query}
+    for qrow, rec in soft.items():
+        if rec.positive_ids != tuple(train_g[r].id for r in targets.positives[qrow]):
+            raise IntegrityError(f"labels of query {rec.query_id} do not list its positives")
 
     tuples_per_epoch = []
     for epoch in range(cfg.epochs):
         # Epoch-start cache with the current parameters: feeds positive
-        # mining (generation 1) and the negative pool for every generation.
+        # mining (generation 1), the negative pool and the collapse check.
         _, g_descs = encode_images(model, train_g, cfg.workers)
         _, q_descs = encode_images(model, train_q, cfg.workers)
+        sims = similarities(q_descs, g_descs)
+        if sims.mean() > COLLAPSE_COSINE:
+            raise EvaluationError(
+                f"generation {omega}, epoch {epoch}: descriptors collapsed, mean "
+                f"query-gallery cosine {sims.mean():.4f} above {COLLAPSE_COSINE}"
+            )
         tuples = []
         for qrow in range(len(train_q)):
             if omega == 1:
-                p = easiest_positive(q_pos[qrow], q_descs[qrow], g_pos, g_descs)
+                p = easiest_positive(q_pos[qrow], sims[qrow], g_pos)
                 if p is None:
                     continue
                 pos_rows: tuple[int, ...] = (p,)
@@ -406,21 +420,17 @@ def train_generation(
                 if not pos_rows:
                     continue
             rng = derive_rng(cfg.seed, "negatives", omega, epoch, train_q[qrow].id)
-            negs = sample_negatives(
-                q_pos[qrow], q_descs[qrow], g_pos, g_descs, rng, n=cfg.n_negatives
-            )
+            negs = sample_negatives(q_pos[qrow], sims[qrow], g_pos, rng, n=cfg.n_negatives)
             if len(negs) < cfg.n_negatives:
                 continue  # negative pool exhausted for this query
-            tuples.append((qrow, pos_rows, tuple(negs)))
+            tuples.append((qrow, pos_rows, tuple(negs), soft.get(qrow)))
         tuples_per_epoch.append(len(tuples))
 
         order = derive_rng(cfg.seed, "shuffle", omega, epoch).permutation(len(tuples))
         for start in range(0, len(order), cfg.batch_tuples):
             batch = [tuples[i] for i in order[start : start + cfg.batch_tuples]]
             model.zero_grads()
-            loss = _batch_loss(
-                model, batch, train_q, train_g, records_by_qrow, gid_to_row, cfg, omega
-            )
+            loss = _batch_loss(model, batch, train_q, train_g, cfg, omega)
             loss.backward()
             _require_finite(loss, model.parameters(), omega, epoch, start // cfg.batch_tuples)
             sgd_step(model.parameters(), velocities, cfg.lr, cfg.momentum, cfg.weight_decay)

@@ -45,6 +45,11 @@ def brute_k_reciprocal(query_desc, gallery_descs, k):
     return mutual + plain
 
 
+def brute_ranked(scores, rows):
+    """Rows by descending score, ties to the lowest row, by a full sort."""
+    return sorted((int(r) for r in rows), key=lambda r: (-float(scores[r]), r))
+
+
 def per_offset_conv2d(x, w, b, stride, pad):
     """Convolution as one ``w[:, :, i, j] @ patch`` product per kernel
     offset, summed in offset order onto the repeated bias, for a
@@ -171,9 +176,7 @@ def tuple_respects_geography(t, query_pos, gallery_pos, generation):
     return all(abs(gallery_pos[n] - query_pos) > NEGATIVE_RADIUS_M for n in t.negatives)
 
 
-def per_image_batch_loss(
-    model, batch, train_q, train_g, records_by_qrow, gid_to_row, cfg, omega, region_ids
-):
+def per_image_batch_loss(model, batch, train_q, train_g, cfg, omega, region_ids):
     """The training batch loss built from one B = 1 graph per image.
 
     Every query is encoded and aggregated alone for each of its tuples,
@@ -201,7 +204,7 @@ def per_image_batch_loss(
         return total
 
     losses = []
-    for qrow, pos_rows, negs in batch:
+    for qrow, pos_rows, negs, rec in batch:
         q = vlad.aggregate(model.vlad, enc.encode(model.encoder, train_q[qrow].pixels))
         if omega >= 2 and cfg.use_neg_regions:
             # The region each negative's own B = 1 map scores highest.
@@ -218,9 +221,8 @@ def per_image_batch_loss(
             loss = ag.scale(loss, 1.0 / len(pos_rows))
         else:
             loss = hard(q, desc(pos_rows[0]), neg_descs)
-            if omega >= 2 and cfg.use_soft:
-                rec = records_by_qrow[qrow]
-                sims = region_sims(q, [gallery(gid_to_row[g])[1] for g in rec.positive_ids])
+            if rec is not None:
+                sims = region_sims(q, [gallery(prow)[1] for prow in pos_rows])
                 loss = total_loss(loss, soft_loss(sims, rec), cfg.lam)
         losses.append(loss)
     total = losses[0]

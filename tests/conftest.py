@@ -5,9 +5,19 @@ this hook a plain run shows only the criteria that fail. The summary takes
 each ``criterion N (...)`` line from the acceptance tests' captured stdout
 once, in criterion order. Under ``-s`` nothing is captured and the lines
 have already been printed, so the summary stays empty.
+
+The ``tier1`` hypothesis profile draws the same examples on every run and
+keeps no example database. (Hypothesis still caches the constants it reads
+from source files under ``.hypothesis/constants/``; no setting turns that
+off.)
 """
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 CRITERION_LINE = re.compile(r"^criterion (\d+) \(")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionsim import evaluate as ev
 from regionsim.errors import DegenerateInputError, FitError, ParameterError, ShapeError
@@ -159,6 +161,34 @@ class TestRecall:
             ev.recall_at_k(q, np.zeros(2), np.zeros((4, 3)), np.zeros(4), ks=(5,))
         with pytest.raises(ShapeError):
             ev.recall_at_k(q, np.zeros(2), np.zeros((4, 2)), np.zeros(4), ks=(1,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10), data=st.data())
+def test_whitening_invariants(seed, d, data):
+    """On correlated, offset data: the raw projection of the fit set has zero
+    mean and identity covariance, and rotating every descriptor before the
+    fit leaves recall unchanged."""
+    out_dim = data.draw(st.integers(1, d))
+    n = data.draw(st.integers(3 * d, 6 * d))
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 3.0, size=d)
+    x = rng.normal(size=(n, d)) * scales @ random_orthogonal(rng, d) + rng.normal(size=d)
+    model = ev.fit_whitening(x, out_dim)
+    raw = (x - model.mean) @ model.projection.T
+    np.testing.assert_allclose(raw.mean(axis=0), 0.0, atol=1e-9)
+    np.testing.assert_allclose(raw.T @ raw / (n - 1), np.eye(out_dim), atol=1e-6)
+
+    q, g = rng.normal(size=(6, d)), rng.normal(size=(20, d))
+    qp, gp = rng.uniform(0, 100, 6), rng.uniform(0, 100, 20)
+    rot = random_orthogonal(rng, d)
+    rotated = ev.fit_whitening(x @ rot, out_dim)
+
+    def recall(m, r):
+        qw, gw = (ev.apply_whitening_batch(m, v @ r) for v in (q, g))
+        return ev.recall_at_k(qw, qp, gw, gp, ks=(1, 5))
+
+    assert recall(rotated, rot) == recall(model, np.eye(d))
 
 
 class TestMetricsCsv:

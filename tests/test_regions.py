@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import literal_region_blocks
 from regionsim import autograd as ag
@@ -134,3 +136,18 @@ class TestGradients:
         assert np.all(top[:, 2] == 0.0) and np.all(bottom[:, 0] == 0.0)
         assert np.all(top[:, 1] != 0.0) and np.all(bottom[:, 1] != 0.0)
         np.testing.assert_allclose(both, top + bottom, rtol=0, atol=1e-15)
+
+
+@given(
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    region_ids=st.lists(st.sampled_from(ALL_REGION_IDS), min_size=1, max_size=9, unique=True),
+)
+def test_mask_selects_literal_blocks(h, w, region_ids):
+    """On any grid and any id list, mask row r selects exactly the positions
+    of the literal block of ``region_ids[r]``, in row-major order."""
+    grid = np.arange(h * w).reshape(1, h, w)
+    blocks = literal_region_blocks(grid)
+    mask = region_mask(h, w, tuple(region_ids))
+    for r, rid in enumerate(region_ids):
+        assert np.flatnonzero(mask[:, r, 0]).tolist() == blocks[rid].reshape(-1).tolist()

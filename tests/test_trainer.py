@@ -11,7 +11,13 @@ from regionsim import checkpoint as ck
 from regionsim import encoder as enc
 from regionsim import trainer
 from regionsim.config import RunConfig
-from regionsim.errors import EvaluationError, ParameterError, SequencingError, ShapeError
+from regionsim.errors import (
+    EvaluationError,
+    IntegrityError,
+    ParameterError,
+    SequencingError,
+    ShapeError,
+)
 from regionsim.model import init_model
 from regionsim.regions import ALL_REGION_IDS, HALVES_ONLY_IDS
 from regionsim.seeding import derive_rng
@@ -269,7 +275,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("omega,kw", BATCH_CONFIGS, ids=["gen1", "full", "no_regions", "naive"])
     def test_matches_per_image_graphs(self, monkeypatch, small_ds, small_run, omega, kw):
         args = self.args(monkeypatch, small_ds, small_run, omega, kw)
-        model, batch, cfg = args[0], args[1], args[6]
+        model, batch, cfg = args[0], args[1], args[4]
         assert len(batch) == cfg.batch_tuples
         region_ids = trainer._label_region_ids(cfg) if omega >= 2 else (0,)
         got, got_grads = loss_and_grads(model, lambda: trainer._batch_loss(*args))
@@ -292,8 +298,8 @@ class TestBatchLoss:
             stack.extend(node._parents)
             convs += getattr(node._backward, "__qualname__", "") == "conv2d.<locals>.backward"
         # The full config reads every positive (soft labels) and every negative.
-        n_queries = len({qrow for qrow, _, _ in batch})
-        n_gallery = len({row for _, pos_rows, negs in batch for row in pos_rows + negs})
+        n_queries = len({qrow for qrow, _, _, _ in batch})
+        n_gallery = len({row for _, pos_rows, negs, _ in batch for row in pos_rows + negs})
         chunks = -(-n_queries // trainer.ENCODE_CHUNK) + -(-n_gallery // trainer.ENCODE_CHUNK)
         assert chunks >= 3
         assert convs == 3 * chunks
@@ -400,10 +406,10 @@ class TestGenerationTargets:
         gallery = small_ds.split("train-gallery")
         _, g_descs = trainer.encode_images(model, gallery)
         _, q_descs = trainer.encode_images(model, small_ds.split("train-query"))
-        from regionsim.mining import plain_top_k
-
+        # For unit descriptors, ascending Euclidean distance is descending similarity.
+        d2 = ((q_descs[:, None, :] - g_descs[None, :, :]) ** 2).sum(axis=2)
         for qrow, rows in enumerate(t.positives):
-            assert list(rows) == plain_top_k(q_descs[qrow], g_descs, 5)
+            assert list(rows) == sorted(range(len(gallery)), key=lambda g: (d2[qrow, g], g))[:5]
 
     def test_generation_one_has_no_targets(self, small_ds, small_cfg):
         with pytest.raises(SequencingError):
@@ -452,6 +458,33 @@ class TestTrainGeneration:
         with pytest.raises(EvaluationError, match="generation 1, epoch 0, batch 0: loss nan"):
             trainer.train_generation(1, None, small_ds, small_cfg)
         assert not stepped
+
+    def test_collapsed_descriptors_stop_training(self, small_ds, small_cfg, monkeypatch):
+        # From the second epoch's cache on, every descriptor is the same.
+        real, calls = trainer.encode_images, []
+
+        def collapsing(model, images, *rest):
+            mats, descs = real(model, images, *rest)
+            calls.append(1)
+            return mats, (descs if len(calls) <= 2 else np.full_like(descs, descs.shape[1] ** -0.5))
+
+        monkeypatch.setattr(trainer, "encode_images", collapsing)
+        cfg = replace(small_cfg, epochs=2)
+        with pytest.raises(EvaluationError, match="generation 1, epoch 1: descriptors collapsed"):
+            trainer.train_generation(1, None, small_ds, cfg)
+
+    def test_labels_must_list_the_tuple_positives(
+        self, small_ds, small_cfg, small_run, monkeypatch
+    ):
+        real = trainer.compute_generation_targets
+
+        def reversed_positives(*args):
+            t = real(*args)
+            return trainer.GenerationTargets([rows[::-1] for rows in t.positives], t.records)
+
+        monkeypatch.setattr(trainer, "compute_generation_targets", reversed_positives)
+        with pytest.raises(IntegrityError, match="do not list its positives"):
+            trainer.train_generation(2, small_run[0].generations[0].checkpoint, small_ds, small_cfg)
 
     def test_generation_index_positive(self, small_ds, small_cfg):
         with pytest.raises(SequencingError):
