@@ -9,12 +9,18 @@ one BLAS product.
 Backward accumulation follows the graph construction order, so repeated
 runs are bitwise deterministic.
 
-Model code is written once, in numpy operator syntax. ``Tensor`` carries
-the operators it uses, and the ops numpy has no operator for (conv2d,
-relu, softmax, transpose, stack_rows, both L2 normalizations) return a
-plain array, recording nothing, when no input is a Tensor. So the same
-forward definition builds the training graph on Tensors and runs on numpy
-alone on arrays.
+Every op is its forward math plus one VJP (vector-Jacobian product: the
+map from the output gradient to one input's gradient) per input, and one
+recording rule, :func:`_record`, turns those into a graph node. With no
+Tensor among the inputs an op returns its plain array and records
+nothing; otherwise array inputs become constants, and backward sends each
+input its VJP only if that input requires a gradient. So model code is
+written once, in numpy operator syntax (``Tensor`` carries the operators
+it uses), and the same forward definition builds the training graph on
+Tensors and runs on numpy alone on arrays. ``slice_view`` is the one
+exception: its backward adds into the sliced range of the input's
+gradient in place, where a VJP would build a full-size zero array for
+every slice.
 """
 
 from __future__ import annotations
@@ -38,14 +44,15 @@ class Tensor:
     frozen parameters always read as exactly zero.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_vjps")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
+        self._vjps = _vjps
 
     @property
     def shape(self):
@@ -94,28 +101,28 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                node._backward(node, node.grad)
 
     # The numpy operators the model code uses (see the module docstring);
     # numpy defers every ``ndarray <op> Tensor`` to the reflected method.
     __array_ufunc__ = None
 
     def __add__(self, other):
-        return add(self, as_tensor(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(as_tensor(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, as_tensor(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(as_tensor(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
-        return mul(self, as_tensor(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -124,10 +131,10 @@ class Tensor:
         return scale(self, -1.0)
 
     def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
+        return matmul(self, other)
 
     def __rmatmul__(self, other):
-        return matmul(as_tensor(other), self)
+        return matmul(other, self)
 
     @property
     def T(self):
@@ -169,6 +176,29 @@ def parameter(data) -> Tensor:
     return t
 
 
+def _record(out, inputs: Sequence, *vjps: Callable[[np.ndarray], np.ndarray]):
+    """The recording rule of every op but :func:`slice_view`.
+
+    Returns ``out`` as a float64 array when no input is a Tensor. Otherwise
+    returns a node whose parents are ``inputs``, arrays among them wrapped
+    as constants, and whose backward is :func:`_route`.
+    """
+    if Tensor not in map(type, inputs):  # Tensor is never subclassed
+        return np.asarray(out, dtype=np.float64)
+    parents = tuple(map(as_tensor, inputs))
+    # Nodes share _route rather than each holding a backward closure: the
+    # garbage collector's passes grow with the objects a graph allocates.
+    return Tensor(out, _parents=parents, _backward=_route, _vjps=vjps)
+
+
+def _route(node: Tensor, g: np.ndarray):
+    """Backward of a recorded node: add ``node._vjps[i](g)`` to the gradient
+    of input i, in input order, only if that input requires a gradient."""
+    for p, vjp in zip(node._parents, node._vjps):
+        if p.requires_grad:
+            p._accumulate(vjp(g))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     while g.ndim > len(shape):
@@ -179,51 +209,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+def add(a, b):
+    ad, bd = _data(a), _data(b)
+    return _record(
+        ad + bd, (a, b), lambda g: _unbroadcast(g, ad.shape), lambda g: _unbroadcast(g, bd.shape)
+    )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+def sub(a, b):
+    ad, bd = _data(a), _data(b)
+    return _record(
+        ad - bd, (a, b), lambda g: _unbroadcast(g, ad.shape), lambda g: _unbroadcast(-g, bd.shape)
+    )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+def mul(a, b):
+    ad, bd = _data(a), _data(b)
+    return _record(
+        ad * bd,
+        (a, b),
+        lambda g: _unbroadcast(g * bd, ad.shape),
+        lambda g: _unbroadcast(g * ad, bd.shape),
+    )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * c)
-
-    return Tensor(a.data * c, _parents=(a,), _backward=backward)
+def scale(a, c: float):
+    return _record(_data(a) * c, (a,), lambda g: g * c)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a, b):
     """Matrix product: (m, k) @ (k, n) or (k,), and over a leading batch
     axis, (B, m, k) @ (k, n) or (B, m, k) @ (B, k, n).
 
@@ -232,32 +246,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bitwise ``a[i] @ b`` (or ``a[i] @ b[i]``). The gradient of a matrix
     shared by the whole stack sums over the stack in one product.
     """
-    shapes_ok = (a.ndim == 2 and b.ndim in (1, 2)) or (a.ndim == 3 and b.ndim in (2, 3))
-    if not shapes_ok or (a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]):
+    ad, bd = _data(a), _data(b)
+    shapes_ok = (ad.ndim == 2 and bd.ndim in (1, 2)) or (ad.ndim == 3 and bd.ndim in (2, 3))
+    if not shapes_ok or (ad.ndim == bd.ndim == 3 and ad.shape[0] != bd.shape[0]):
         raise ShapeError(
-            f"matmul expects (2d, 1d|2d) or (3d, 2d|3d) with one batch, got {a.shape} @ {b.shape}"
+            f"matmul expects (2d, 1d|2d) or (3d, 2d|3d) with one batch, got {ad.shape} @ {bd.shape}"
         )
-    if a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    if ad.shape[-1] != bd.shape[0 if bd.ndim == 1 else -2]:
+        raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    if bd.ndim == 1:
+        return _record(ad @ bd, (a, b), lambda g: np.outer(g, bd), lambda g: ad.T @ g)
 
-    def backward(g):
-        if b.ndim == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-            return
-        if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if a.ndim == b.ndim:
-                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
-            else:
-                k, n = b.shape
-                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+    def grad_b(g):
+        if ad.ndim == bd.ndim:
+            return np.swapaxes(ad, -1, -2) @ g
+        k, n = bd.shape
+        return ad.reshape(-1, k).T @ g.reshape(-1, n)
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _record(ad @ bd, (a, b), lambda g: g @ np.swapaxes(bd, -1, -2), grad_b)
 
 
 def transpose(a):
@@ -266,26 +272,12 @@ def transpose(a):
     data = _data(a)
     if data.ndim < 2:
         raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {data.shape}")
-    out_data = np.swapaxes(data, -1, -2)
-    if not isinstance(a, Tensor):
-        return out_data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -1, -2))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _record(np.swapaxes(data, -1, -2), (a,), lambda g: np.swapaxes(g, -1, -2))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    in_shape = a.data.shape
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(in_shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+def reshape(a, shape):
+    data = _data(a)
+    return _record(data.reshape(shape), (a,), lambda g: g.reshape(data.shape))
 
 
 def slice_view(a: Tensor, key) -> Tensor:
@@ -296,7 +288,7 @@ def slice_view(a: Tensor, key) -> Tensor:
         raise ShapeError(f"only int, slice, None and Ellipsis keys are supported, got {key!r}")
     out_data = a.data[key]
 
-    def backward(g):
+    def backward(node, g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
@@ -305,72 +297,41 @@ def slice_view(a: Tensor, key) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def tensor_sum(a: Tensor, axis=None) -> Tensor:
-    out_data = a.data.sum(axis=axis)
+def tensor_sum(a, axis=None):
+    data = _data(a)
 
-    def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.full_like(a.data, float(g)))
-            else:
-                a._accumulate(np.expand_dims(g, axis=axis) * np.ones_like(a.data))
+    def vjp(g):
+        if axis is None:
+            return np.full_like(data, float(g))
+        return np.expand_dims(g, axis=axis) * np.ones_like(data)
 
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _record(data.sum(axis=axis), (a,), vjp)
 
 
 def stack_rows(tensors: Sequence):
-    """Stack equal-length vectors into a matrix; row i backprops to input i.
-    Given arrays only it returns the stacked array."""
+    """Stack equal-length vectors into a matrix; row i backprops to input i."""
     if not tensors:
         raise ShapeError("stack_rows needs at least one vector")
-    out_data = np.stack([_data(t) for t in tensors], axis=0)
-    if not any(isinstance(t, Tensor) for t in tensors):
-        return out_data
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
+    rows = [lambda g, i=i: g[i] for i in range(len(tensors))]
+    return _record(np.stack([_data(t) for t in tensors], axis=0), tensors, *rows)
 
 
 def relu(a):
     data = _data(a)
     mask = data > 0
-    out_data = data * mask
-    if not isinstance(a, Tensor):
-        return out_data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _record(data * mask, (a,), lambda g: g * mask)
 
 
-def softplus(a: Tensor) -> Tensor:
-    out_data = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / (1.0 + np.exp(-a.data)))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+def softplus(a):
+    data = _data(a)
+    return _record(np.logaddexp(0.0, data), (a,), lambda g: g / (1.0 + np.exp(-data)))
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot expects equal-length vectors, got {a.shape}, {b.shape}")
-    out_data = np.dot(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+def dot(a, b):
+    ad, bd = _data(a), _data(b)
+    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
+        raise ShapeError(f"dot expects equal-length vectors, got {ad.shape}, {bd.shape}")
+    return _record(np.dot(ad, bd), (a, b), lambda g: g * bd, lambda g: g * ad)
 
 
 def softmax(a, axis: int = -1):
@@ -379,15 +340,7 @@ def softmax(a, axis: int = -1):
     shifted = data - data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(a, Tensor):
-        return p
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            a._accumulate(p * (g - inner))
-
-    return Tensor(p, _parents=(a,), _backward=backward)
+    return _record(p, (a,), lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
 
 def softmax_temp(v: Tensor | np.ndarray, tau: float) -> Tensor:
@@ -406,80 +359,57 @@ def softmax_temp(v: Tensor | np.ndarray, tau: float) -> Tensor:
     return softmax(scale(v, 1.0 / float(tau)), axis=0)
 
 
-def soft_cross_entropy(y: Tensor | np.ndarray, y_hat: np.ndarray) -> Tensor:
+def soft_cross_entropy(y, y_hat: np.ndarray):
     """Cross-entropy of distribution ``y`` against a constant target ``y_hat``.
 
     Returns -sum(y_hat * log(y)) with the log floored at 1e-30 so sharply
     peaked predictions cannot produce -inf.
     """
-    y = as_tensor(y)
+    yd = _data(y)
     target = np.asarray(y_hat, dtype=np.float64)
-    if y.ndim != 1 or target.ndim != 1 or y.shape != target.shape:
-        raise ShapeError(f"distribution lengths differ: {y.shape} vs {target.shape}")
+    if yd.ndim != 1 or target.ndim != 1 or yd.shape != target.shape:
+        raise ShapeError(f"distribution lengths differ: {yd.shape} vs {target.shape}")
     if abs(target.sum() - 1.0) > 1e-6:
         raise ParameterError("target weights must sum to 1")
-    clipped = np.maximum(y.data, LOG_FLOOR)
+    clipped = np.maximum(yd, LOG_FLOOR)
     out_data = -(target * np.log(clipped)).sum()
-
-    def backward(g):
-        if y.requires_grad:
-            grad = np.where(y.data > LOG_FLOOR, -target / clipped, 0.0)
-            y._accumulate(g * grad)
-
-    out = Tensor(out_data, _parents=(y,), _backward=backward)
-    if not np.isfinite(out.data):
+    if not np.isfinite(out_data):
         raise EvaluationError("cross-entropy evaluated to a non-finite value")
-    return out
+    return _record(
+        out_data, (y,), lambda g: g * np.where(yd > LOG_FLOOR, -target / clipped, 0.0)
+    )
 
 
 def l2_normalize(v):
     """Unit-normalize a vector, or each row of a matrix; rejects near-zero input."""
-    data = _data(v)
-    if data.ndim not in (1, 2):
-        raise ShapeError("l2_normalize expects a vector or a matrix of rows")
-    norm = np.sqrt((data * data).sum(axis=-1, keepdims=True))
-    if norm.min() <= NORM_FLOOR:
-        raise DegenerateInputError(f"cannot normalize vector with norm {norm.min():.3e}")
-    out_data = data / norm
-    if not isinstance(v, Tensor):
-        return out_data
-
-    def backward(g):
-        if not v.requires_grad:
-            return
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        v._accumulate(g / norm - data * (inner / norm**3))
-
-    return Tensor(out_data, _parents=(v,), _backward=backward)
+    return _normalize_rows(v, 0.0)
 
 
-def l2_normalize_smooth(a, axis=None, eps: float = SMOOTH_EPS):
-    """L2 normalization against sqrt(norm^2 + eps^2); zero rows stay zero.
+def l2_normalize_smooth(a):
+    """L2 normalization of a vector, or of each row of a matrix, against
+    sqrt(norm^2 + SMOOTH_EPS^2); zero rows stay zero.
 
-    ``axis=None`` treats the tensor as one flat vector, ``axis=1`` normalizes
-    each row independently. Rows with norm well above ``eps`` come out unit
-    length; near-zero rows shrink to zero instead of being scaled by an
-    unbounded 1/norm. Every derivative stays bounded by 1/eps, so the op is
+    Rows with norm well above ``SMOOTH_EPS`` come out unit length; near-zero
+    rows shrink to zero instead of being scaled by an unbounded 1/norm.
+    Every derivative stays bounded by 1/SMOOTH_EPS, so the op is
     finite-difference checkable even when a row is effectively empty.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    if axis not in (None, 1):
-        raise ShapeError("l2_normalize_smooth supports axis None or 1")
-    data = _data(a)
-    keep = axis is not None
-    s = np.sqrt((data * data).sum(axis=axis, keepdims=keep) + eps * eps)
-    out_data = data / s
-    if not isinstance(a, Tensor):
-        return out_data
+    return _normalize_rows(a, SMOOTH_EPS * SMOOTH_EPS)
 
-    def backward(g):
-        if not a.requires_grad:
-            return
-        inner = (g * data).sum(axis=axis, keepdims=keep)
-        a._accumulate(g / s - data * (inner / s**3))
 
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+def _normalize_rows(v, eps_sq: float):
+    """Each row of ``v`` over s = sqrt(its sum of squares + eps_sq). With
+    eps_sq = 0, an s at or below NORM_FLOOR is refused; otherwise s is at
+    least sqrt(eps_sq)."""
+    data = _data(v)
+    if data.ndim not in (1, 2):
+        raise ShapeError("l2 normalization expects a vector or a matrix of rows")
+    s = np.sqrt((data * data).sum(axis=-1, keepdims=True) + eps_sq)
+    if not eps_sq and (s <= NORM_FLOOR).any():
+        raise DegenerateInputError(f"cannot normalize vector with norm {s.min():.3e}")
+    return _record(
+        data / s, (v,), lambda g: g / s - data * ((g * data).sum(axis=-1, keepdims=True) / s**3)
+    )
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0):
@@ -531,27 +461,22 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
             cols[:, k] = xp[at]
         return cols.reshape(cin * kh * kw, -1)
 
+    def grad_x(g):
+        gcols = (wm.T @ g.reshape(cout, -1)).reshape(cin, kh * kw, n, h_out, w_out)
+        gxp = np.zeros_like(xp)
+        for k, at in enumerate(windows):
+            gxp[at] += gcols[:, k]
+        return gxp[:, :, pad : pad + h, pad : pad + wd].reshape(xd.shape)
+
     out = wm @ columns()
     out += bd[:, None]
-    out_data = out.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
-    if not any(isinstance(t, Tensor) for t in (x, w, b)):
-        return out_data
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-
-    def backward(g):
-        gm = g.reshape(cout, -1)
-        if b.requires_grad:
-            b._accumulate(gm.sum(axis=1))
-        if w.requires_grad:
-            w._accumulate((gm @ columns().T).reshape(wdata.shape))
-        if x.requires_grad:
-            gcols = (wm.T @ gm).reshape(cin, kh * kw, n, h_out, w_out)
-            gxp = np.zeros_like(xp)
-            for k, at in enumerate(windows):
-                gxp[at] += gcols[:, k]
-            x._accumulate(gxp[:, :, pad : pad + h, pad : pad + wd].reshape(xd.shape))
-
-    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
+    return _record(
+        out.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out)),
+        (x, w, b),
+        grad_x,
+        lambda g: (g.reshape(cout, -1) @ columns().T).reshape(wdata.shape),
+        lambda g: g.reshape(cout, -1).sum(axis=1),
+    )
 
 
 def grad_check(

@@ -22,6 +22,7 @@ from .vlad import VladParams
 
 MAGIC = "regionsim-checkpoint"
 VERSION = 1
+STORAGE_DTYPE = "<f4"  # little-endian float32, the payload type of every tensor
 
 PARAM_NAMES = (
     "conv1.weight",
@@ -93,6 +94,16 @@ def to_model(ckpt: Checkpoint) -> tuple[Model, list[np.ndarray]]:
     return model, velocities
 
 
+def quantize_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+    """Round every tensor through storage precision (:data:`STORAGE_DTYPE`).
+
+    Downstream consumers (label mining, evaluation) always read a previous
+    generation at file precision, whether or not it ever hit disk.
+    """
+    tensors = [(n, a.astype(STORAGE_DTYPE).astype(np.float64)) for n, a in ckpt.tensors]
+    return Checkpoint(ckpt.generation, ckpt.epoch, ckpt.seed, ckpt.config_hash, tensors)
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str):
     lines = [
         f"{MAGIC} {VERSION}",
@@ -108,7 +119,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str):
     with atomic_open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         for _, arr in ckpt.tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=STORAGE_DTYPE).tobytes())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -151,7 +162,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DatasetError(f"checkpoint {path} missing header field {exc}") from exc
 
     expected = sum(int(np.prod(shape)) for _, shape in specs)
-    data = np.frombuffer(payload, dtype="<f4")
+    data = np.frombuffer(payload, dtype=STORAGE_DTYPE)
     if data.size != expected:
         raise DatasetError(
             f"checkpoint {path} payload holds {data.size} floats, header says {expected}"

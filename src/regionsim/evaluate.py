@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, FitError, ParameterError, ShapeError
+from . import autograd as ag
+from .errors import FitError, ParameterError, ShapeError
 from .mining import ranked, similarities
 
 EIG_FLOOR = 1e-8
@@ -64,16 +65,12 @@ def fit_whitening(descriptors: np.ndarray, out_dim: int) -> WhiteningModel:
 
 
 def apply_whitening_batch(model: WhiteningModel, descriptors: np.ndarray) -> np.ndarray:
-    """Project each descriptor row and re-normalize it; zero projections are
-    errors."""
+    """Project each descriptor row and unit-normalize it with
+    ``ag.l2_normalize``, which refuses a zero projection."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ShapeError(f"expected (N, {model.in_dim}) descriptors, got {x.shape}")
-    z = (x - model.mean) @ model.projection.T
-    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
-    if np.any(norms <= 1e-12):
-        raise DegenerateInputError("a whitened descriptor has near-zero norm")
-    return z / norms
+    return ag.l2_normalize((x - model.mean) @ model.projection.T)
 
 
 def recall_at_k(

@@ -34,7 +34,14 @@ from . import encoder as enc
 from . import evaluate as ev
 from . import vlad as vlad_mod
 from .atomic import atomic_open
-from .checkpoint import PARAM_NAMES, Checkpoint, from_model, save_checkpoint, to_model
+from .checkpoint import (
+    PARAM_NAMES,
+    Checkpoint,
+    from_model,
+    quantize_checkpoint,
+    save_checkpoint,
+    to_model,
+)
 from .config import RunConfig, config_digest
 from .errors import EvaluationError, IntegrityError, ParameterError, SequencingError, ShapeError
 from .mining import (
@@ -88,16 +95,6 @@ def labels_digest(records: Sequence[SoftLabelRecord]) -> str:
     """Hash of the serialized label records; guards their immutability."""
     payload = "\n".join(format_record(r) for r in records)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-
-def quantize_checkpoint(ckpt: Checkpoint) -> Checkpoint:
-    """Round every tensor through storage precision (little-endian float32).
-
-    Downstream consumers (label mining, evaluation) always read a previous
-    generation at file precision, whether or not it ever hit disk.
-    """
-    tensors = [(n, a.astype("<f4").astype(np.float64)) for n, a in ckpt.tensors]
-    return Checkpoint(ckpt.generation, ckpt.epoch, ckpt.seed, ckpt.config_hash, tensors)
 
 
 def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:

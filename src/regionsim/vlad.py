@@ -120,7 +120,7 @@ def aggregate_regions(params: VladParams, fm, region_ids: Sequence[int]):
     weighted = (ag.transpose(masked) @ x).reshape((b, r, k, d))
     mass = masked.sum(axis=1).reshape((b, r, k, 1))
     residuals = (weighted - mass * c) * (1.0 / mask.sum(axis=0)).reshape((r, 1, 1))
-    intra = ag.l2_normalize_smooth(residuals.reshape((b * r * k, d)), axis=1)
+    intra = ag.l2_normalize_smooth(residuals.reshape((b * r * k, d)))
     rows = ag.l2_normalize(intra.reshape((b * r, k * d)))
     return rows.reshape(fm.shape[1:-2] + (r, k * d))
 

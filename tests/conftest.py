@@ -7,15 +7,20 @@ once, in criterion order. Under ``-s`` nothing is captured and the lines
 have already been printed, so the summary stays empty.
 
 The ``tier1`` hypothesis profile draws the same examples on every run and
-keeps no example database. (Hypothesis still caches the constants it reads
-from source files under ``.hypothesis/constants/``; no setting turns that
-off.)
+keeps no example database. Hypothesis still caches the constants it reads
+from source files, which no setting turns off; its storage lives in a
+temporary directory removed at exit, so a run leaves no ``.hypothesis/``
+folder in the checkout.
 """
 
 import re
+import tempfile
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 

@@ -167,19 +167,15 @@ class TestL2Normalize:
         # Rows far above eps are unit to ~eps^2 relative error; zero rows
         # stay exactly zero instead of being rescaled.
         x = ag.parameter(np.array([[3.0, 4.0], [0.0, 0.0]]))
-        out = ag.l2_normalize_smooth(x, axis=1)
+        out = ag.l2_normalize_smooth(x)
         np.testing.assert_allclose(out.data[0], [0.6, 0.8], atol=1e-7)
         assert np.linalg.norm(out.data[0]) <= 1.0
         np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
 
     def test_smooth_variant_shrinks_tiny_rows(self):
         x = ag.parameter(np.array([[1e-9, 0.0]]))
-        out = ag.l2_normalize_smooth(x, axis=1)
+        out = ag.l2_normalize_smooth(x)
         assert np.linalg.norm(out.data[0]) < 1e-5
-
-    def test_smooth_variant_rejects_bad_eps(self):
-        with pytest.raises(ParameterError):
-            ag.l2_normalize_smooth(ag.parameter(np.ones((2, 2))), axis=1, eps=0.0)
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -442,7 +438,7 @@ class TestGradients:
         wts = rng.normal(size=(3, 4))
 
         def fn():
-            return ag.tensor_sum(ag.mul(ag.l2_normalize_smooth(x, axis=1), ag.constant(wts)))
+            return ag.tensor_sum(ag.mul(ag.l2_normalize_smooth(x), ag.constant(wts)))
 
         assert ag.grad_check(fn, [x]) <= self.TOL
 
@@ -463,14 +459,14 @@ class TestGradients:
         wts = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]])
 
         def fn():
-            return ag.tensor_sum(ag.mul(ag.l2_normalize_smooth(x, axis=1), ag.constant(wts)))
+            return ag.tensor_sum(ag.mul(ag.l2_normalize_smooth(x), ag.constant(wts)))
 
         assert ag.grad_check(fn, [x], eps=1e-6) <= self.TOL
 
     def test_row_normalize_zero_row_grad_is_bounded(self):
         # A zero row has gradient g/eps: finite, never a 1/norm blowup.
         x = ag.parameter(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
-        out = ag.tensor_sum(ag.l2_normalize_smooth(x, axis=1))
+        out = ag.tensor_sum(ag.l2_normalize_smooth(x))
         out.backward()
         assert np.all(np.isfinite(x.grad))
         np.testing.assert_allclose(x.grad[1], 1.0 / ag.SMOOTH_EPS)
@@ -550,15 +546,64 @@ class TestGradCheckGuards:
             ag.mul(x, x).backward()
 
 
+def _op_cases():
+    """(name, op, inputs): every op but ``slice_view``, called on one set of
+    inputs each, with every input an array. Inputs stay clear of the ReLU
+    kink and of zero norms, so each input's gradient is nonzero."""
+    rng = np.random.default_rng(71)
+
+    def away_from_zero(*shape):
+        v = rng.normal(size=shape)
+        return v + np.where(v < 0, -0.5, 0.5)
+
+    target = rng.dirichlet(np.ones(5))
+    smooth_rows = np.vstack([np.zeros(6), away_from_zero(3, 6)])
+    conv = (away_from_zero(2, 3, 7, 9), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
+    conv_map = (conv[0][:, 0],) + conv[1:]
+    return [
+        ("add", ag.add, (rng.normal(size=(3, 4)), rng.normal(size=(1, 4)))),
+        ("sub", ag.sub, (rng.normal(size=(3, 4)), rng.normal(size=(3, 1)))),
+        ("mul", ag.mul, (rng.normal(size=(3, 4)), rng.normal(size=4))),
+        ("scale", lambda a: ag.scale(a, -2.5), (rng.normal(size=(3, 4)),)),
+        ("matmul", ag.matmul, (rng.normal(size=(3, 5)), rng.normal(size=(5, 2)))),
+        ("matmul_vector", ag.matmul, (rng.normal(size=(3, 5)), rng.normal(size=5))),
+        ("matmul_stack", ag.matmul, (rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4)))),
+        ("matmul_stacks", ag.matmul, (rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 5, 4)))),
+        ("transpose", ag.transpose, (rng.normal(size=(2, 3, 5)),)),
+        ("reshape", lambda a: ag.reshape(a, (6, 2)), (rng.normal(size=(3, 4)),)),
+        ("tensor_sum", ag.tensor_sum, (rng.normal(size=(3, 4)),)),
+        ("tensor_sum_axis", lambda a: ag.tensor_sum(a, axis=0), (rng.normal(size=(3, 4)),)),
+        ("stack_rows", lambda *rows: ag.stack_rows(rows), tuple(rng.normal(size=(3, 5)))),
+        ("relu", ag.relu, (away_from_zero(5, 4),)),
+        ("softplus", ag.softplus, (rng.normal(size=(5, 4)),)),
+        ("dot", ag.dot, (rng.normal(size=6), rng.normal(size=6))),
+        ("softmax", lambda a: ag.softmax(a, axis=0), (rng.normal(size=(5, 4)),)),
+        ("soft_cross_entropy", lambda y: ag.soft_cross_entropy(y, target), (target[::-1],)),
+        ("l2_normalize", ag.l2_normalize, (away_from_zero(4, 6),)),
+        ("l2_normalize_smooth", ag.l2_normalize_smooth, (smooth_rows,)),
+        ("conv2d", lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1), conv),
+        ("conv2d_map", lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=0), conv_map),
+    ]
+
+
+OP_CASES = _op_cases()
+OP_INPUTS = [(name, op, arrays, i) for name, op, arrays in OP_CASES for i in range(len(arrays))]
+
+
 class TestArrayInputs:
-    """Ops without a numpy operator return a plain array, with the Tensor
+    """Every op but ``slice_view`` returns a plain array, with the Tensor
     path's exact bits, when no input is a Tensor."""
 
     def check(self, op, *arrays, **kwargs):
         got = op(*arrays, **kwargs)
         want = op(*[ag.constant(a) for a in arrays], **kwargs)
         assert isinstance(got, np.ndarray) and isinstance(want, ag.Tensor)
-        assert np.array_equal(got, want.data)
+        assert not want.requires_grad and want._parents
+        assert got.dtype == np.float64 and np.array_equal(got, want.data)
+
+    @pytest.mark.parametrize("name,op,arrays", OP_CASES, ids=[c[0] for c in OP_CASES])
+    def test_every_op(self, name, op, arrays):
+        self.check(op, *arrays)
 
     def test_conv2d(self):
         rng = np.random.default_rng(71)
@@ -579,8 +624,8 @@ class TestArrayInputs:
         self.check(ag.l2_normalize, rng.normal(size=7))
         x = rng.normal(size=(4, 6))
         x[2] = 0.0
-        self.check(ag.l2_normalize_smooth, x, axis=1)
         self.check(ag.l2_normalize_smooth, x)
+        self.check(ag.l2_normalize_smooth, x[0])
 
     def test_stack_rows(self):
         rng = np.random.default_rng(89)
@@ -592,6 +637,26 @@ class TestArrayInputs:
         w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
         out = ag.conv2d(x, w, np.zeros(3), stride=2, pad=1)
         assert isinstance(out, ag.Tensor) and out.requires_grad
+
+
+class TestGradientRouting:
+    """Backward sends a gradient to every input that requires one and to no
+    other: with input i of an op trainable and the rest constants, only
+    input i ends up with a ``.grad``, of its own shape and nonzero."""
+
+    @pytest.mark.parametrize(
+        "name,op,arrays,i", OP_INPUTS, ids=[f"{c[0]}-{c[3]}" for c in OP_INPUTS]
+    )
+    def test_only_the_parameter_input_gets_a_gradient(self, name, op, arrays, i):
+        inputs = [ag.constant(a) for a in arrays]
+        inputs[i] = ag.Tensor(arrays[i], requires_grad=True)
+        out = op(*inputs)
+        readout = np.random.default_rng(5).normal(size=out.shape)
+        (out * readout).sum().backward()
+        for j, t in enumerate(inputs):
+            if j != i:
+                assert t.grad is None
+        assert inputs[i].grad.shape == arrays[i].shape and np.any(inputs[i].grad != 0.0)
 
 
 class TestSliceKeys:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regionsim import autograd as ag
 from regionsim import evaluate as ev
 from regionsim.errors import DegenerateInputError, FitError, ParameterError, ShapeError
 
@@ -89,6 +90,12 @@ class TestApplyWhitening:
     def test_mean_vector_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
             ev.apply_whitening_batch(self.model, self.model.mean[None, :].copy())
+
+    def test_empty_batch(self):
+        # Whitening normalizes through ag.l2_normalize; no rows is no error.
+        out = ev.apply_whitening_batch(self.model, np.zeros((0, 10)))
+        assert out.shape == (0, 4)
+        assert ag.l2_normalize(np.zeros((0, 4))).shape == (0, 4)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
