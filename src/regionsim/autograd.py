@@ -343,16 +343,16 @@ def softmax(a, axis: int = -1):
     return _record(p, (a,), lambda g: p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
 
-def softmax_temp(v: Tensor | np.ndarray, tau: float) -> Tensor:
+def softmax_temp(v: Tensor | np.ndarray, tau: float):
     """Temperature-scaled softmax over a vector of scores.
 
     Low tau sharpens the distribution; the output always sums to one and
     keeps the argmax of the input.
     """
-    v = as_tensor(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax_temp expects a non-empty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.data)):
+    data = _data(v)
+    if data.ndim != 1 or data.size == 0:
+        raise ShapeError(f"softmax_temp expects a non-empty vector, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
         raise EvaluationError("softmax_temp input contains non-finite entries")
     if not (isinstance(tau, (int, float)) and tau > 0):
         raise ParameterError(f"temperature must be positive, got {tau!r}")

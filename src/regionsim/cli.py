@@ -131,6 +131,10 @@ def _cmd_labels(args) -> int:
     if args.data:
         ds = load_dataset(args.data)
         images = {img.id: img for img in ds.images}
+        for rec in records:
+            for image_id in (rec.query_id, *rec.positive_ids):
+                if image_id not in images:
+                    raise DatasetError(f"labels name image id {image_id}, which {args.data} lacks")
     shown = 0
     for rec in records:
         if args.query is not None and rec.query_id != args.query:

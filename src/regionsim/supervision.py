@@ -100,7 +100,7 @@ def region_soft_labels(
         raise ParameterError("need at least one positive")
     if len(positive_ids) != len(positive_regions):
         raise ShapeError("one region matrix per positive id is required")
-    weights = ag.softmax_temp(region_sims(query_desc, positive_regions), tau).data
+    weights = ag.softmax_temp(region_sims(query_desc, positive_regions), tau)
     return SoftLabelRecord(
         query_id=query_id,
         generation=generation,

@@ -43,7 +43,9 @@ from .checkpoint import (
     to_model,
 )
 from .config import RunConfig, config_digest
-from .errors import EvaluationError, IntegrityError, ParameterError, SequencingError, ShapeError
+from .errors import (
+    EvaluationError, FitError, IntegrityError, ParameterError, SequencingError, ShapeError
+)
 from .mining import (
     difficult_positives,
     easiest_positive,
@@ -75,13 +77,6 @@ from .synthcity import Dataset, GeoImage
 # image at chunks of 4/8/16/32/64: from 32 up, layer 2's column buffer
 # (3.5 MB) outgrows the L2.
 ENCODE_CHUNK = 16
-
-# Mean query-gallery cosine of an epoch cache above which the descriptors
-# count as collapsed. It read 0.08-0.72 in every epoch of the acceptance
-# chains (seeds 0-2). A run that collapsed (seed 7, 15 epochs, naive
-# top-k, generation 3) read at most 0.56 in epochs 0-12, then 0.98, 1.00.
-COLLAPSE_COSINE = 0.95
-
 
 def params_digest(model: Model) -> str:
     """Hash of all parameter bytes in fixed order."""
@@ -396,15 +391,17 @@ def train_generation(
     tuples_per_epoch = []
     for epoch in range(cfg.epochs):
         # Epoch-start cache with the current parameters: feeds positive
-        # mining (generation 1), the negative pool and the collapse check.
+        # mining (generation 1), the negative pool and the whitening fit that
+        # evaluation runs on this split, whose rank test stops a collapse.
         _, g_descs = encode_images(model, train_g, cfg.workers)
         _, q_descs = encode_images(model, train_q, cfg.workers)
-        sims = similarities(q_descs, g_descs)
-        if sims.mean() > COLLAPSE_COSINE:
+        try:
+            ev.fit_whitening(np.concatenate([q_descs, g_descs]), cfg.eval_out_dim)
+        except FitError as exc:
             raise EvaluationError(
-                f"generation {omega}, epoch {epoch}: descriptors collapsed, mean "
-                f"query-gallery cosine {sims.mean():.4f} above {COLLAPSE_COSINE}"
-            )
+                f"generation {omega}, epoch {epoch}: descriptors collapsed, {exc}"
+            ) from exc
+        sims = similarities(q_descs, g_descs)
         tuples = []
         for qrow in range(len(train_q)):
             if omega == 1:

@@ -130,7 +130,7 @@ def per_positive_soft_labels(
     region sims as one matrix-vector product each, joined in rank order."""
     params = params.as_arrays()
     sims = [vlad.aggregate_regions(params, fm, region_ids) @ query_desc for fm in positive_fms]
-    weights = ag.softmax_temp(np.concatenate(sims), tau).data
+    weights = ag.softmax_temp(np.concatenate(sims), tau)
     return SoftLabelRecord(
         query_id=query_id,
         generation=generation,

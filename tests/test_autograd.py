@@ -31,16 +31,16 @@ def entropy(p):
 
 class TestSoftmaxTemp:
     def test_unit_temperature_example(self):
-        p = ag.softmax_temp(np.array([0.9, 0.7]), 1.0).data
+        p = ag.softmax_temp(np.array([0.9, 0.7]), 1.0)
         np.testing.assert_allclose(p, [0.549833997312478, 0.450166002687522], atol=1e-12)
         np.testing.assert_allclose(np.round(p, 4), [0.5498, 0.4502])
 
     def test_sharp_temperature_example(self):
-        p = ag.softmax_temp(np.array([0.9, 0.7]), 0.05).data
+        p = ag.softmax_temp(np.array([0.9, 0.7]), 0.05)
         np.testing.assert_allclose(p, [0.9820137900379085, 0.0179862099620915], atol=1e-12)
 
     def test_default_label_temperature_example(self):
-        p = ag.softmax_temp(np.array([0.9, 0.7]), 0.07).data
+        p = ag.softmax_temp(np.array([0.9, 0.7]), 0.07)
         np.testing.assert_allclose(np.round(p, 4), [0.9457, 0.0543])
 
     def test_matches_naive_oracle(self):
@@ -50,7 +50,7 @@ class TestSoftmaxTemp:
             v = rng.normal(scale=2.0, size=n)
             tau = float(rng.uniform(0.03, 2.0))
             np.testing.assert_allclose(
-                ag.softmax_temp(v, tau).data, naive_softmax_temp(v, tau), atol=1e-12
+                ag.softmax_temp(v, tau), naive_softmax_temp(v, tau), atol=1e-12
             )
 
     def test_sums_to_one_and_keeps_argmax(self):
@@ -59,7 +59,7 @@ class TestSoftmaxTemp:
             v = rng.normal(size=int(rng.integers(2, 10)))
             v += rng.normal(scale=1e-3, size=v.size)  # break exact ties
             for tau in (1.0, 0.1, 0.07, 0.05):
-                p = ag.softmax_temp(v, tau).data
+                p = ag.softmax_temp(v, tau)
                 assert abs(p.sum() - 1.0) <= 1e-9
                 assert np.argmax(p) == np.argmax(v)
                 assert np.all(p > 0)
@@ -69,11 +69,11 @@ class TestSoftmaxTemp:
         for _ in range(50):
             v = rng.normal(size=6)
             v += np.linspace(0, 1e-3, 6)  # distinct scores
-            ents = [entropy(ag.softmax_temp(v, tau).data) for tau in (1.0, 0.1, 0.07, 0.05)]
+            ents = [entropy(ag.softmax_temp(v, tau)) for tau in (1.0, 0.1, 0.07, 0.05)]
             assert all(a > b for a, b in zip(ents, ents[1:]))
 
     def test_large_scores_stay_finite(self):
-        p = ag.softmax_temp(np.array([1000.0, 999.0, -1000.0]), 0.05).data
+        p = ag.softmax_temp(np.array([1000.0, 999.0, -1000.0]), 0.05)
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -583,6 +583,7 @@ def _op_cases():
         ("l2_normalize_smooth", ag.l2_normalize_smooth, (smooth_rows,)),
         ("conv2d", lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1), conv),
         ("conv2d_map", lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=0), conv_map),
+        ("softmax_temp", lambda v: ag.softmax_temp(v, 0.5), (rng.normal(size=5),)),
     ]
 
 

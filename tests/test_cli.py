@@ -181,6 +181,14 @@ class TestExitCodes:
         assert main(["labels", "--labels", path, "--data", str(bad)]) == 4
         assert "world.json" in capsys.readouterr().err
 
+    def test_label_naming_an_unknown_image_is_io_error(self, run_dir, data_dir, tmp_path, capsys):
+        query_id = read_label_file(os.path.join(run_dir, "labels_gen2.txt"))[0].query_id
+        path = tmp_path / "labels.txt"
+        path.write_text(f"{query_id} 2 0.07 99999 0 1\n")
+        assert main(["labels", "--labels", str(path), "--data", data_dir]) == 4
+        err = capsys.readouterr().err
+        assert "99999" in err and data_dir in err
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus.key = 3\n")

@@ -312,7 +312,7 @@ class TestSoftLoss:
     def test_one_hot_target_is_neg_log_prob(self):
         sims = np.array([2.0, 1.0, -1.0])
         rec = self.make_record([0.0, 1.0, 0.0])
-        student = ag.softmax_temp(np.array(sims), 1.0).data
+        student = ag.softmax_temp(np.array(sims), 1.0)
         got = sup.soft_loss(ag.constant(sims), rec).item()
         np.testing.assert_allclose(got, -math.log(student[1]), atol=1e-12)
 

@@ -475,6 +475,29 @@ class TestTrainGeneration:
         with pytest.raises(EvaluationError, match="generation 1, epoch 1: descriptors collapsed"):
             trainer.train_generation(1, None, small_ds, cfg)
 
+    def test_near_identical_full_rank_descriptors_train(self, small_ds, small_cfg, monkeypatch):
+        # Every cache is one shared direction plus a small distinct part: a
+        # mean cosine near 1, but a covariance of full rank.
+        real, cosines = trainer.encode_images, []
+
+        def crowded(model, images, *rest):
+            mats, descs = real(model, images, *rest)
+            near = descs.shape[1] ** -0.5 + 0.05 * descs
+            near /= np.linalg.norm(near, axis=1, keepdims=True)
+            cosines.append((near @ near.T).mean())
+            return mats, near
+
+        monkeypatch.setattr(trainer, "encode_images", crowded)
+        res = trainer.train_generation(1, None, small_ds, replace(small_cfg, epochs=2))
+        assert res.checkpoint.epoch == 2
+        assert len(cosines) == 4 and min(cosines) >= 0.98
+
+    def test_near_uniform_start_trains(self):
+        # Seed 93 starts with a mean query-gallery cosine of 0.98.
+        ds = generate_dataset(WorldSpec(seed=93))
+        res = trainer.train_generation(1, None, ds, RunConfig.create(seed=93, epochs=1))
+        assert res.checkpoint.generation == 1
+
     def test_labels_must_list_the_tuple_positives(
         self, small_ds, small_cfg, small_run, monkeypatch
     ):
