@@ -7,7 +7,12 @@ Convolution and matmul take a leading batch axis, so one node serves a
 whole stack of images, and a convolution layer is one im2col gather and
 one BLAS product.
 Backward accumulation follows the graph construction order, so repeated
-runs are bitwise deterministic.
+runs are bitwise deterministic. One backward consumes its graph: each
+node's gradient, VJPs and parent links are dropped as soon as its backward
+has run, so every forward buffer and interior gradient is freed once no
+later VJP needs it. Only leaves keep their gradients, and a second
+backward over a consumed node raises ``SequencingError``; it needs a fresh
+forward pass.
 
 Every op is its forward math plus one VJP (vector-Jacobian product: the
 map from the output gradient to one input's gradient) per input, and one
@@ -29,7 +34,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, EvaluationError, ParameterError, ShapeError
+from .errors import (
+    DegenerateInputError, EvaluationError, ParameterError, SequencingError, ShapeError
+)
 
 LOG_FLOOR = 1e-30
 NORM_FLOOR = 1e-12
@@ -81,7 +88,15 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Reverse-mode gradient accumulation from a scalar output."""
+        """Reverse-mode gradient accumulation from a scalar output.
+
+        Consumes the graph: once a node's backward has run, the node drops
+        its gradient, VJPs and parents, so the buffers they hold are freed
+        as the pass moves on. Leaves keep their gradients. Backward again
+        through any node of this graph, from this output or another one,
+        raises ``SequencingError`` before touching a gradient: rebuild the
+        graph with a fresh forward pass.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -94,14 +109,19 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _consumed:
+                _consumed(node, None)
             seen.add(id(node))
             stack.append((node, True))
             for p in reversed(node._parents):
                 stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node, node.grad)
+                node.grad, node._vjps, node._parents = None, (), ()
+                node._backward = _consumed
 
     # The numpy operators the model code uses (see the module docstring);
     # numpy defers every ``ndarray <op> Tensor`` to the reflected method.
@@ -189,6 +209,12 @@ def _record(out, inputs: Sequence, *vjps: Callable[[np.ndarray], np.ndarray]):
     # Nodes share _route rather than each holding a backward closure: the
     # garbage collector's passes grow with the objects a graph allocates.
     return Tensor(out, _parents=parents, _backward=_route, _vjps=vjps)
+
+
+def _consumed(node: Tensor, g):
+    """Backward of a node whose backward has run. ``Tensor.backward`` calls
+    it while it walks the graph, so it raises before any gradient moves."""
+    raise SequencingError("graph already backpropagated; rebuild it")
 
 
 def _route(node: Tensor, g: np.ndarray):

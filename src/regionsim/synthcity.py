@@ -80,7 +80,9 @@ def spec_digest(spec: WorldSpec) -> str:
 @dataclass
 class GeoImage:
     id: int
-    pixels: np.ndarray  # (H, W) float32 in [0, 1]
+    # (H, W) float32 in [0, 1], read-only: a rendered image is a view into
+    # its world's texture, which every image of that heading shares.
+    pixels: np.ndarray
     true_x: float
     reported_x: float
     heading: int
@@ -105,16 +107,18 @@ class Dataset:
 
 
 class World:
-    """Seeded facade textures for both headings, ready to crop."""
+    """Seeded facade textures for both headings, ready to crop: each is
+    quantized to float32 once and read-only, since views share it."""
 
     def __init__(self, spec: WorldSpec):
         self.spec = spec
         self.key = spec_digest(spec)
         cols = int(round(spec.length_m * spec.cols_per_meter))
-        self.textures = {
-            +1: _facade_texture(spec, +1, cols),
-            -1: _facade_texture(spec, -1, cols),
-        }
+        self.textures = {}
+        for heading in (+1, -1):
+            texture = _facade_texture(spec, heading, cols).astype(np.float32)
+            texture.flags.writeable = False
+            self.textures[heading] = texture
 
     def bounds(self) -> tuple[float, float]:
         half = self.spec.window_m / 2.0
@@ -170,9 +174,11 @@ def _facade_texture(spec: WorldSpec, heading: int, cols: int) -> np.ndarray:
 
 
 def render_view(world: World, position: float, heading: int) -> np.ndarray:
-    """Crop the heading's texture to the window around ``position``.
+    """The window around ``position``: a read-only view into the heading's
+    texture, no copy.
 
-    Pixels are quantized to float32 so rendered and disk-loaded images are
+    The texture is quantized to float32 once, which gives each crop the
+    bits of casting that crop alone, so rendered and disk-loaded images are
     bit-identical.
     """
     if heading not in (+1, -1):
@@ -183,8 +189,7 @@ def render_view(world: World, position: float, heading: int) -> np.ndarray:
     spec = world.spec
     start = int(round((position - spec.window_m / 2.0) * spec.cols_per_meter))
     start = min(max(start, 0), world.textures[heading].shape[1] - spec.image_width)
-    crop = world.textures[heading][:, start : start + spec.image_width]
-    return crop.astype(np.float32)
+    return world.textures[heading][:, start : start + spec.image_width]
 
 
 def view_interval(x: float, window_m: float) -> tuple[float, float]:
@@ -315,7 +320,8 @@ def write_dataset(ds: Dataset, root: str):
 
 
 def _read_image(root: str, image_id: int, shape: tuple[int, int]) -> np.ndarray:
-    """The image's pixels; every image of a world has the world's shape."""
+    """The image's pixels, read-only over the file's bytes; every image of a
+    world has the world's shape."""
     path = _image_path(root, image_id)
     try:
         raw = Path(path).read_bytes()
@@ -326,10 +332,9 @@ def _read_image(root: str, image_id: int, shape: tuple[int, int]) -> np.ndarray:
     h, w = (int(v) for v in np.frombuffer(raw[:8], dtype="<u4"))
     if (h, w) != shape:
         raise DatasetError(f"image {path} is {h}x{w}, not the world's {shape[0]}x{shape[1]}")
-    payload = np.frombuffer(raw[8:], dtype="<f4")
-    if payload.size != h * w:
+    if len(raw) != 8 + 4 * h * w:
         raise DatasetError(f"image payload size mismatch in {path}")
-    return payload.reshape(h, w).copy()
+    return np.frombuffer(raw, dtype="<f4", offset=8).reshape(h, w)
 
 
 def _csv_rows(text: str, name: str, types: tuple) -> list[tuple]:

@@ -109,12 +109,18 @@ def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:
 def describe_chunks(
     model: Model, images: Sequence[GeoImage], region_ids: Sequence[int], workers: int = 1
 ):
-    """The one loop from images to feature maps and region rows: for each
-    run of :func:`encode_chunks`, in order, (run, its (D, B, h, w) maps, its
-    (B, R, K*D) ``aggregate_regions`` rows). Tensor parameters give graph
-    nodes, array parameters (``model.as_arrays()``) give arrays. Images of
-    one run must share one shape (``encoder.encode`` raises ``ShapeError``
-    otherwise)."""
+    """The one loop from images to feature maps and region rows: yields, for
+    each run of :func:`encode_chunks`, in order, (run, its (D, B, h, w) maps,
+    its (B, R, K*D) ``aggregate_regions`` rows). Tensor parameters give
+    graph nodes, array parameters (``model.as_arrays()``) give arrays.
+    Images of one run must share one shape (``encoder.encode`` raises
+    ``ShapeError`` otherwise).
+
+    Chunks come one at a time. The gradient-free path,
+    :func:`encode_images`, keeps only each chunk's region rows, so a
+    chunk's maps are freed as the next one is encoded; ``_batch_loss``
+    keeps its maps for the hardest-negative scan. With ``workers`` > 1 the
+    pool may run ahead of the caller."""
     pixels = [img.pixels for img in images]
 
     def one(chunk: range):
@@ -124,8 +130,9 @@ def describe_chunks(
     chunks = encode_chunks(pixels)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, chunks))
-    return [one(chunk) for chunk in chunks]
+            yield from pool.map(one, chunks)
+    else:
+        yield from map(one, chunks)
 
 
 def encode_images(
@@ -136,15 +143,17 @@ def encode_images(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradient-free (R, K*D) region matrices, one per image and each a view
     of its chunk's rows, and the (N, K*D) full descriptors, by
-    :func:`describe_chunks`. ``region_ids`` must start with the full map,
-    whose row gives the descriptor."""
+    :func:`describe_chunks`. Only the region rows are kept: each chunk's
+    feature maps are dropped as the next chunk is encoded. ``region_ids``
+    must start with the full map, whose row gives the descriptor."""
     if region_ids[0] != FULL_REGION:
         raise ParameterError(f"region ids must start with the full map, got {region_ids}")
-    done = describe_chunks(model.as_arrays(), images, region_ids, workers)
-    if not done:
-        return [], np.zeros((0, model.descriptor_dim))
-    matrices = [m for _, _, rows in done for m in rows]
-    return matrices, np.concatenate([rows[:, 0] for _, _, rows in done])
+    matrices: list[np.ndarray] = []
+    descriptors = [np.zeros((0, model.descriptor_dim))]
+    for _, _, rows in describe_chunks(model.as_arrays(), images, region_ids, workers):
+        matrices.extend(rows)
+        descriptors.append(rows[:, 0])
+    return matrices, np.concatenate(descriptors)
 
 
 def sgd_step(

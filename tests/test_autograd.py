@@ -12,6 +12,7 @@ from regionsim.errors import (
     DegenerateInputError,
     EvaluationError,
     ParameterError,
+    SequencingError,
     ShapeError,
 )
 
@@ -517,6 +518,31 @@ class TestGradients:
             out.backward()
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
+
+
+class TestConsumedGraph:
+    """One backward consumes its graph; a second one through any of its
+    nodes would count the first gradient again, so it raises instead."""
+
+    def test_second_backward_on_one_loss_raises(self):
+        x = ag.parameter(np.array([2.0, -1.0]))
+        y = ag.mul(x, x)
+        out = ag.tensor_sum(y)
+        out.backward()
+        assert y.grad is None and not y._parents
+        with pytest.raises(SequencingError, match="already backpropagated"):
+            out.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, -2.0])
+
+    def test_losses_sharing_a_subgraph_raise_on_the_second(self):
+        x = ag.parameter(np.array([2.0, -1.0]))
+        y = ag.mul(x, x)
+        first = ag.tensor_sum(y)
+        second = ag.tensor_sum(ag.scale(y, 3.0))
+        first.backward()
+        with pytest.raises(SequencingError, match="already backpropagated"):
+            second.backward()
+        np.testing.assert_array_equal(x.grad, [4.0, -2.0])
 
 
 class TestGradCheckGuards:

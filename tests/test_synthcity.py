@@ -94,6 +94,50 @@ class TestRendering:
         assert not np.array_equal(a.textures[1], b.textures[1])
 
 
+class TestPixelViews:
+    """Rendered pixels are read-only float32 views into the world's
+    textures, each quantized once, with the bits of a per-crop cast."""
+
+    def oracle(self, spec, img):
+        """The crop of the float64 texture, cast to float32 on its own."""
+        cols = int(round(spec.length_m * spec.cols_per_meter))
+        start = int(round((img.true_x - spec.window_m / 2.0) * spec.cols_per_meter))
+        start = min(max(start, 0), cols - spec.image_width)
+        texture = sc._facade_texture(spec, img.heading, cols)
+        return texture[:, start : start + spec.image_width].astype(np.float32)
+
+    def test_pixels_match_a_cast_of_each_crop(self):
+        spec = small_spec(20)
+        ds = sc.generate_dataset(spec)
+        for img in ds.images:
+            want = self.oracle(spec, img)
+            assert img.pixels.dtype == np.float32 and img.pixels.shape == want.shape
+            assert img.pixels.tobytes() == want.tobytes()
+
+    def test_pixels_are_read_only(self):
+        ds = sc.generate_dataset(small_spec(21))
+        for img in ds.images:
+            assert not img.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            ds.images[0].pixels[0, 0] = 0.5
+
+    def test_images_of_one_heading_share_the_texture(self):
+        spec = small_spec(22)
+        ds = sc.generate_dataset(spec)
+        for heading in (+1, -1):
+            views = [img for img in ds.images if img.heading == heading]
+            # Two views less than a window apart cover common facade columns.
+            a, b = next(
+                (a, b) for a in views for b in views
+                if a.id < b.id and abs(a.true_x - b.true_x) < spec.window_m / 2
+            )
+            assert np.shares_memory(a.pixels, b.pixels)
+            assert all(img.pixels.base is a.pixels.base for img in views)
+        east = next(img for img in ds.images if img.heading == +1)
+        west = next(img for img in ds.images if img.heading == -1)
+        assert east.pixels.base is not west.pixels.base
+
+
 class TestOverlapTruth:
     def setup_method(self):
         self.spec = small_spec(8)
@@ -253,6 +297,24 @@ class TestDatasetIO:
         open(path, "wb").write(raw[:-4])
         with pytest.raises(DatasetError):
             sc.load_dataset(root)
+
+    def test_load_rejects_a_partial_float(self, tmp_path):
+        ds = sc.generate_dataset(small_spec(17))
+        root = str(tmp_path / "world")
+        sc.write_dataset(ds, root)
+        path = os.path.join(root, "img_00000.bin")
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[:-1])
+        with pytest.raises(DatasetError, match="payload size"):
+            sc.load_dataset(root)
+
+    def test_loaded_pixels_are_read_only(self, tmp_path):
+        ds = sc.generate_dataset(small_spec(14))
+        root = str(tmp_path / "world")
+        sc.write_dataset(ds, root)
+        back = sc.load_dataset(root)
+        assert all(img.pixels.dtype == np.float32 for img in back.images)
+        assert not any(img.pixels.flags.writeable for img in back.images)
 
     def test_load_rejects_an_image_of_another_shape(self, tmp_path):
         ds = sc.generate_dataset(small_spec(19))

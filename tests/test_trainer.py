@@ -1,5 +1,6 @@
 """Trainer tests: SGD arithmetic, digests, caching, sequencing, determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from regionsim import autograd as ag
 from regionsim import checkpoint as ck
 from regionsim import encoder as enc
 from regionsim import trainer
-from regionsim.config import RunConfig
+from regionsim.config import RunConfig, config_digest
 from regionsim.errors import (
     EvaluationError,
     IntegrityError,
@@ -207,8 +208,8 @@ class TestDescribeChunks:
         model = init_model(5, [rng.uniform(0, 1, (32, 96)) for _ in range(4)])
         images = small_ds.split("train-gallery")[:20]
         region_ids = (0, 3, 8)
-        graph = trainer.describe_chunks(model, images, region_ids)
-        arrays = trainer.describe_chunks(model.as_arrays(), images, region_ids, workers=2)
+        graph = list(trainer.describe_chunks(model, images, region_ids))
+        arrays = list(trainer.describe_chunks(model.as_arrays(), images, region_ids, workers=2))
         assert [run for run, _, _ in graph] == [range(0, 16), range(16, 20)]
         assert [run for run, _, _ in arrays] == [range(0, 16), range(16, 20)]
         for (run, fms, rows), (_, fms_a, rows_a) in zip(graph, arrays):
@@ -305,6 +306,49 @@ class TestBatchLoss:
         chunks = -(-n_queries // trainer.ENCODE_CHUNK) + -(-n_gallery // trainer.ENCODE_CHUNK)
         assert chunks >= 3
         assert convs == 3 * chunks
+
+
+class TestBackwardMemory:
+    def test_backward_frees_the_graph_it_has_passed(self, monkeypatch):
+        """On criterion 8's world, the memory a generation-2 batch's backward
+        adds on top of its forward graph stays a small fraction of that
+        graph: backward frees each forward buffer and interior gradient
+        once no later VJP needs it. Keeping them all reads about 1x."""
+        spec = WorldSpec(
+            seed=5,
+            length_m=120.0,
+            n_train_queries=8,
+            n_train_gallery=48,
+            n_test_queries=8,
+            n_test_gallery=48,
+        )
+        ds = generate_dataset(spec)
+        cfg = RunConfig.create(
+            generations=2, epochs=1, k_positives=5, seed=0, workers=1,
+            eval_out_dim=16, center_init_images=8,
+        )
+        # An untrained teacher stands in for generation 1: the graph's size
+        # does not depend on the teacher's weights.
+        teacher = init_model(cfg.seed, [img.pixels for img in ds.split("train-gallery")[:8]])
+        velocities = [np.zeros_like(p.data) for p in teacher.parameters()]
+        prev = ck.from_model(teacher, velocities, 1, 0, cfg.seed, config_digest(cfg, ds.world_key))
+        args = first_batch_args(monkeypatch, ds, cfg, 2, prev)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = trainer._batch_loss(*args)
+            forward = tracemalloc.get_traced_memory()[0] - start
+            interior = loss._parents[0]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert forward > 1 << 20
+        assert added < 0.25 * forward, f"backward added {added / forward:.2f}x the forward graph"
+        assert interior.grad is None and not interior._parents
+        assert all(np.all(np.isfinite(p.grad)) for p in args[0].parameters())
 
 
 class TestGenerationTargets:
