@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Implements exactly the closed set of operations the retrieval model needs
-(convolution, ReLU, matmul, softmax, L2 normalization, dot products,
-soft cross-entropy, softplus) plus the shape plumbing to connect them.
+(convolution, matmul, softmax, L2 normalization, dot products, soft
+cross-entropy, softplus) plus the shape plumbing to connect them.
 Convolution and matmul take a leading batch axis, so one node serves a
 whole stack of images, and a convolution layer is one im2col gather and
-one BLAS product.
+one BLAS product. The ReLU lives inside the convolution (``relu=True``):
+the encoder's only ReLUs follow a conv, and fused there the node keeps a
+bool mask instead of a second activation.
 Backward accumulation follows the graph construction order, so repeated
 runs are bitwise deterministic. One backward consumes its graph: each
 node's gradient, VJPs and parent links are dropped as soon as its backward
@@ -30,6 +32,7 @@ every slice.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -196,19 +199,22 @@ def parameter(data) -> Tensor:
     return t
 
 
-def _record(out, inputs: Sequence, *vjps: Callable[[np.ndarray], np.ndarray]):
+def _record(out, inputs: Sequence, *vjps: Callable[[np.ndarray], np.ndarray], gate=None):
     """The recording rule of every op but :func:`slice_view`.
 
     Returns ``out`` as a float64 array when no input is a Tensor. Otherwise
     returns a node whose parents are ``inputs``, arrays among them wrapped
-    as constants, and whose backward is :func:`_route`.
+    as constants, and whose backward is :func:`_route`; with a bool
+    ``gate`` (a fused ReLU's mask), backward first multiplies the node's
+    gradient by it, once for all the VJPs.
     """
     if Tensor not in map(type, inputs):  # Tensor is never subclassed
         return np.asarray(out, dtype=np.float64)
     parents = tuple(map(as_tensor, inputs))
     # Nodes share _route rather than each holding a backward closure: the
     # garbage collector's passes grow with the objects a graph allocates.
-    return Tensor(out, _parents=parents, _backward=_route, _vjps=vjps)
+    backward = _route if gate is None else functools.partial(_gated_route, gate)
+    return Tensor(out, _parents=parents, _backward=backward, _vjps=vjps)
 
 
 def _consumed(node: Tensor, g):
@@ -223,6 +229,13 @@ def _route(node: Tensor, g: np.ndarray):
     for p, vjp in zip(node._parents, node._vjps):
         if p.requires_grad:
             p._accumulate(vjp(g))
+
+
+def _gated_route(gate: np.ndarray, node: Tensor, g: np.ndarray):
+    """:func:`_route` of ``g * gate``. ``g`` is the node's own gradient
+    buffer, dropped once this backward has run, so it is gated in place."""
+    g *= gate
+    _route(node, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -324,12 +337,13 @@ def slice_view(a: Tensor, key) -> Tensor:
 
 
 def tensor_sum(a, axis=None):
+    """Sum over ``axis`` (all axes for None); the VJP is a read-only
+    broadcast view of the output gradient, never an input-sized array."""
     data = _data(a)
+    shape = data.shape
 
     def vjp(g):
-        if axis is None:
-            return np.full_like(data, float(g))
-        return np.expand_dims(g, axis=axis) * np.ones_like(data)
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis=axis), shape)
 
     return _record(data.sum(axis=axis), (a,), vjp)
 
@@ -340,12 +354,6 @@ def stack_rows(tensors: Sequence):
         raise ShapeError("stack_rows needs at least one vector")
     rows = [lambda g, i=i: g[i] for i in range(len(tensors))]
     return _record(np.stack([_data(t) for t in tensors], axis=0), tensors, *rows)
-
-
-def relu(a):
-    data = _data(a)
-    mask = data > 0
-    return _record(data * mask, (a,), lambda g: g * mask)
 
 
 def softplus(a):
@@ -438,17 +446,25 @@ def _normalize_rows(v, eps_sq: float):
     )
 
 
-def conv2d(x, w, b, stride: int = 1, pad: int = 0):
-    """2-D convolution of a (Cin, B, H, W) stack with (Cout, Cin, kh, kw) kernels.
+def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False):
+    """2-D convolution of a (Cin, B, H, W) stack with (Cout, Cin, kh, kw) kernels,
+    optionally followed by a ReLU.
 
     Returns a (Cout, B, H', W') stack; a single (Cin, H, W) map is the
     B = 1 case and keeps its rank. Each layer is one im2col product: the
-    kernel offsets' windows of the zero-padded stack fill one
-    (Cin*kh*kw, B*H'*W') column buffer, and ``w.reshape(Cout, -1) @ cols``
-    plus the bias is the output. Backward rebuilds the columns from the
-    padded input for its one weight-gradient product, so no column buffer
-    lives between forward and backward, and scatter-adds one ``w.T @ g``
-    product per offset into the input gradient.
+    kernel offsets' windows of the stack fill one (Cin*kh*kw, B*H'*W')
+    column buffer, and ``w.reshape(Cout, -1) @ cols`` plus the bias is the
+    output. Zero padding is never materialized: for each offset, only the
+    output positions whose input lies inside the map are copied into a
+    zeroed column buffer, and backward scatter-adds one ``w.T @ g`` product
+    per offset into the unpadded input gradient through the same clipped
+    windows. Backward rebuilds the columns for its one weight-gradient
+    product, so between forward and backward the node keeps its output and
+    no column buffer or padded copy.
+
+    With ``relu`` the output is multiplied in place by its own ``> 0`` mask;
+    the node keeps only that bool mask, and backward gates its gradient by
+    it once before the three VJPs.
 
     Repeated evaluations are bitwise identical. Each output is one BLAS dot
     product over the Cin*kh*kw taps, so it rounds differently, at the 1e-16
@@ -469,39 +485,55 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0):
     w_out = (wd + 2 * pad - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"input {h}x{wd} too small for kernel {kh}x{kw} stride {stride}")
-    xp = xs
-    if pad:
-        xp = np.zeros((cin, n, h + 2 * pad, wd + 2 * pad))
-        xp[:, :, pad : pad + h, pad : pad + wd] = xs
+
+    def clipped(k, extent, n_out):
+        # Per offset o along one axis: the (output, input) slices of the
+        # output positions r whose input index o - pad + stride*r lies in
+        # [0, extent); lo is the first such r and hi one past the last.
+        spans = []
+        for o in range(k):
+            lo = max(0, -((o - pad) // stride))
+            hi = max(lo, min(n_out, (extent - 1 - o + pad) // stride + 1))
+            first = o - pad + stride * lo
+            spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
+        return spans
+
+    # Offset k = i*kw + j, as in w.reshape(Cout, -1); each window is an
+    # (output key, input key) pair.
     windows = [
-        np.s_[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-        for i in range(kh)
-        for j in range(kw)
+        (np.s_[:, :, ro, co], np.s_[:, :, ri, ci])
+        for ro, ri in clipped(kh, h, h_out)
+        for co, ci in clipped(kw, wd, w_out)
     ]
     wm = wdata.reshape(cout, -1)
 
     def columns():
-        # Row (c, i, j) is channel c at offset (i, j), as in w.reshape(Cout, -1).
-        cols = np.empty((cin, kh * kw, n, h_out, w_out))
-        for k, at in enumerate(windows):
-            cols[:, k] = xp[at]
+        cols = np.zeros((cin, kh * kw, n, h_out, w_out))
+        for k, (at_out, at_in) in enumerate(windows):
+            cols[:, k][at_out] = xs[at_in]
         return cols.reshape(cin * kh * kw, -1)
 
     def grad_x(g):
         gcols = (wm.T @ g.reshape(cout, -1)).reshape(cin, kh * kw, n, h_out, w_out)
-        gxp = np.zeros_like(xp)
-        for k, at in enumerate(windows):
-            gxp[at] += gcols[:, k]
-        return gxp[:, :, pad : pad + h, pad : pad + wd].reshape(xd.shape)
+        gx = np.zeros_like(xs)
+        for k, (at_out, at_in) in enumerate(windows):
+            gx[at_in] += gcols[:, k][at_out]
+        return gx.reshape(xd.shape)
 
     out = wm @ columns()
     out += bd[:, None]
+    out = out.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out))
+    mask = None
+    if relu:
+        mask = out > 0
+        out *= mask
     return _record(
-        out.reshape((cout,) + xd.shape[1:-2] + (h_out, w_out)),
+        out,
         (x, w, b),
         grad_x,
         lambda g: (g.reshape(cout, -1) @ columns().T).reshape(wdata.shape),
         lambda g: g.reshape(cout, -1).sum(axis=1),
+        gate=mask,
     )
 
 

@@ -9,9 +9,12 @@ array for mining and evaluation, where no gradients are needed.
 
 Images carry a batch axis: a (B, H, W) stack of same-shape images runs
 through one im2col product per layer, in the conv layout
-(16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Training
-graphs and the gradient-free callers alike encode fixed chunks of images,
-one stack each, through the one loop ``trainer.describe_chunks``.
+(16, B, H/8, W/8), and a single (H, W) image is its B = 1 case. Each
+layer is one graph node: the first two fuse their ReLU into the conv, so
+a training graph holds one activation per layer plus two bool masks.
+Training graphs and the gradient-free callers alike encode fixed chunks
+of images, one stack each, through the one loop
+``trainer.describe_chunks``.
 
 The low-pass is anti-aliasing. The layers subsample by 8 in all, and the
 facade glyphs hold 2-pixel checkers, far above the rate they are sampled
@@ -119,12 +122,12 @@ def _prepare(images) -> np.ndarray:
 def encode(params: EncoderParams, images):
     """Forward pass of an (H, W) image to a (16, H/8, W/8) feature map, or
     of a (B, H, W) stack to (16, B, H/8, W/8): a graph node when the
-    parameters are Tensors, a plain array when they are arrays."""
+    parameters are Tensors, a plain array when they are arrays. Each layer
+    is one ``conv2d`` call, with its ReLU fused in on all but the last, so
+    it records one node per layer."""
     x = _prepare(images)[None]
-    n_layers = len(params.weights)
+    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = ag.conv2d(x, w, b, stride=STRIDE, pad=PAD)
-        if i < n_layers - 1:
-            x = ag.relu(x)
+        x = ag.conv2d(x, w, b, stride=STRIDE, pad=PAD, relu=i < last)
     return x
 

@@ -256,27 +256,55 @@ class TestConv2d:
             ag.conv2d(x, w, ag.constant(np.zeros(1)), 1, 0)
 
 
-class TestConv2dAgainstPerOffsetSum:
-    """The one-product conv against the per-offset sum it replaced
-    (``_oracles.per_offset_conv2d``), forward and every gradient."""
+def conv_grid(test):
+    """Parametrize ``test`` over the (stride, pad), shape and kernel grid of
+    the per-offset checks. Pads up to 2 and strides up to 3, on extents that
+    are not multiples of the stride, give offsets whose clipped window starts
+    past 0 or ends short of the input's extent."""
+    grid = [
+        ("kernel", [(3, 3), (2, 3)]),
+        ("shape", [(2, 7, 9), (2, 6, 8), (3, 4, 7, 9), (1, 3, 6, 5), (2, 2, 10, 11)]),
+        ("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (1, 2), (3, 1), (3, 2)]),
+    ]
+    for names, values in grid:
+        test = pytest.mark.parametrize(names, values)(test)
+    return test
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    @pytest.mark.parametrize("shape", [(2, 7, 9), (2, 6, 8), (3, 4, 7, 9), (1, 3, 6, 5)])
-    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
-    def test_forward_and_gradients(self, stride, pad, shape, kernel):
+
+class TestConv2dAgainstPerOffsetSum:
+    """The one-product conv against the per-offset sum over a zero-padded
+    input (``_oracles.per_offset_conv2d``), forward and every gradient, with
+    and without the fused ReLU."""
+
+    def check(self, stride, pad, shape, kernel, relu):
         rng = np.random.default_rng(len(shape) * 100 + stride * 10 + pad + shape[-1])
         x = ag.parameter(rng.normal(size=shape))
         w = ag.parameter(rng.normal(size=(4, shape[0]) + kernel))
         b = ag.parameter(rng.normal(size=4))
-        out = ag.conv2d(x, w, b, stride, pad)
+        out = ag.conv2d(x, w, b, stride, pad, relu=relu)
         want = per_offset_conv2d(x.data, w.data, b.data, stride, pad)
+        mask = want > 0 if relu else np.ones(want.shape, dtype=bool)
         assert out.shape == want.shape
-        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want * mask, rtol=0, atol=1e-12)
         g = rng.normal(size=out.shape)
         (out * g).sum().backward()
-        grads = per_offset_conv2d_grads(x.data, w.data, g, stride, pad)
+        grads = per_offset_conv2d_grads(x.data, w.data, g * mask, stride, pad)
         for got, expected in zip((x.grad, w.grad, b.grad), grads):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @conv_grid
+    def test_forward_and_gradients(self, stride, pad, shape, kernel):
+        self.check(stride, pad, shape, kernel, relu=False)
+
+    @conv_grid
+    def test_forward_and_gradients_with_relu(self, stride, pad, shape, kernel):
+        self.check(stride, pad, shape, kernel, relu=True)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_offsets_that_read_only_padding(self, relu):
+        # A 1x2 map at pad 2 and stride 3: kernel rows 0 and 1 and column 1
+        # never reach the map, so their windows are empty.
+        self.check(3, 2, (2, 1, 2), (3, 3), relu)
 
     def test_frozen_weight_keeps_its_zero_buffer(self):
         rng = np.random.default_rng(26)
@@ -302,22 +330,24 @@ class TestConv2dAgainstPerOffsetSum:
 
     def test_recorded_node_holds_no_column_buffer(self):
         # Layer 1 of a 16-image 32x96 encode chunk. Between forward and
-        # backward the node may keep its padded input and its output; its
-        # (9, 16*16*48) columns, 864 KiB, are rebuilt in backward instead.
+        # backward the node may keep its output, plus its bool mask with the
+        # ReLU; its (9, 16*16*48) columns, 864 KiB, are rebuilt in backward,
+        # and no zero-padded copy of the input (416 KiB) is ever made.
         rng = np.random.default_rng(28)
         x = rng.normal(size=(1, 16, 32, 96))
         w = ag.parameter(rng.normal(size=(8, 1, 3, 3)))
         b = ag.parameter(np.zeros(8))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ag.conv2d(x, w, b, stride=2, pad=1)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        padded = np.zeros((1, 16, 34, 98)).nbytes
-        assert out.requires_grad and out.data.nbytes <= retained
-        assert retained <= padded + out.data.nbytes + 64 * 1024
+        for relu in (False, True):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ag.conv2d(x, w, b, stride=2, pad=1, relu=relu)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            mask_bytes = out.size if relu else 0
+            assert out.requires_grad and out.data.nbytes <= retained
+            assert retained <= out.data.nbytes + mask_bytes + 64 * 1024
 
 
 class TestGradients:
@@ -384,15 +414,19 @@ class TestGradients:
         assert ag.grad_check(fn, [x, w, b]) <= self.TOL
 
     def test_relu_away_from_kink(self):
+        # conv2d's fused ReLU, with every output at least 0.05 from the kink
+        # and some on each side of it.
         rng = np.random.default_rng(41)
-        vals = rng.normal(size=(4, 4))
-        vals[np.abs(vals) < 0.05] += 0.1  # keep clear of the nondifferentiable point
-        x = ag.parameter(vals)
+        x = ag.parameter(rng.normal(size=(2, 2, 5, 6)))
+        w = ag.parameter(rng.normal(size=(3, 2, 3, 3)))
+        b = ag.parameter(rng.normal(size=3))
 
         def fn():
-            return ag.tensor_sum(ag.relu(x))
+            return ag.tensor_sum(ag.conv2d(x, w, b, stride=2, pad=1, relu=True))
 
-        assert ag.grad_check(fn, [x]) <= self.TOL
+        pre = ag.conv2d(x.data, w.data, b.data, stride=2, pad=1)
+        assert np.abs(pre).min() > 0.05 and (pre < 0).any() and (pre > 0).any()
+        assert ag.grad_check(fn, [x, w, b]) <= self.TOL
 
     def test_softplus(self):
         rng = np.random.default_rng(43)
@@ -574,8 +608,9 @@ class TestGradCheckGuards:
 
 def _op_cases():
     """(name, op, inputs): every op but ``slice_view``, called on one set of
-    inputs each, with every input an array. Inputs stay clear of the ReLU
-    kink and of zero norms, so each input's gradient is nonzero."""
+    inputs each, with every input an array. Inputs stay clear of zero norms,
+    and the fused ReLU passes some outputs, so each input's gradient is
+    nonzero."""
     rng = np.random.default_rng(71)
 
     def away_from_zero(*shape):
@@ -600,7 +635,6 @@ def _op_cases():
         ("tensor_sum", ag.tensor_sum, (rng.normal(size=(3, 4)),)),
         ("tensor_sum_axis", lambda a: ag.tensor_sum(a, axis=0), (rng.normal(size=(3, 4)),)),
         ("stack_rows", lambda *rows: ag.stack_rows(rows), tuple(rng.normal(size=(3, 5)))),
-        ("relu", ag.relu, (away_from_zero(5, 4),)),
         ("softplus", ag.softplus, (rng.normal(size=(5, 4)),)),
         ("dot", ag.dot, (rng.normal(size=6), rng.normal(size=6))),
         ("softmax", lambda a: ag.softmax(a, axis=0), (rng.normal(size=(5, 4)),)),
@@ -609,6 +643,7 @@ def _op_cases():
         ("l2_normalize_smooth", ag.l2_normalize_smooth, (smooth_rows,)),
         ("conv2d", lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1), conv),
         ("conv2d_map", lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=0), conv_map),
+        ("conv2d_relu", lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1, relu=True), conv),
         ("softmax_temp", lambda v: ag.softmax_temp(v, 0.5), (rng.normal(size=5),)),
     ]
 
@@ -641,8 +676,10 @@ class TestArrayInputs:
 
     def test_relu_and_softmax(self):
         rng = np.random.default_rng(73)
+        conv = rng.normal(size=(2, 3, 7, 9)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+        for stride, pad in [(1, 0), (2, 1)]:
+            self.check(ag.conv2d, *conv, stride=stride, pad=pad, relu=True)
         x = rng.normal(size=(5, 4))
-        self.check(ag.relu, x)
         self.check(ag.softmax, x, axis=1)
         self.check(ag.softmax, x, axis=0)
 

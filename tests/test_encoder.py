@@ -1,4 +1,7 @@
-"""Encoder tests: shapes, init determinism, path equivalence, freezing."""
+"""Encoder tests: shapes, init determinism, path equivalence, graph memory,
+freezing."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +106,32 @@ class TestPaths:
         )
         img = np.random.default_rng(6).normal(size=(16, 24))
         assert np.array_equal(enc.encode(plain, img), enc.encode(params.as_arrays(), img))
+
+
+class TestGraphMemory:
+    def test_encode_keeps_one_activation_per_layer(self):
+        # A 16-image 32x96 chunk. Between forward and backward the graph may
+        # hold the low-passed input, each layer's output and the bool masks
+        # of the two fused ReLUs: no padded copy, no pre-ReLU output.
+        rng = np.random.default_rng(12)
+        images = rng.normal(size=(16, 32, 96))
+        params = enc.init_encoder(12)
+        enc.low_pass(images)  # fill the cached low-pass matrices first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = enc.encode(params, images)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        shapes, (h, w) = [], images.shape[1:]
+        for cout in enc.CHANNELS[1:]:
+            h, w = -(-h // enc.STRIDE), -(-w // enc.STRIDE)
+            shapes.append((cout, len(images), h, w))
+        outputs = sum(8 * int(np.prod(s)) for s in shapes)
+        masks = sum(int(np.prod(s)) for s in shapes[:-1])
+        assert out.requires_grad and out.shape == shapes[-1] and outputs <= retained
+        assert retained <= images.nbytes + outputs + masks + 64 * 1024
 
 
 class TestStacks:
