@@ -446,6 +446,46 @@ def _normalize_rows(v, eps_sq: float):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _conv_windows(h: int, wd: int, kh: int, kw: int, stride: int, pad: int):
+    """The clipped im2col windows of a conv over an h x wd map, per kernel
+    offset k = i*kw + j (the order of ``w.reshape(Cout, -1)``): an (output
+    key, input key) pair of slices, and the border strips of the output
+    plane that the window leaves uncovered, which read only padding.
+    Together the window and its strips tile the plane, so a column buffer
+    filled through both needs no zeroing first. Shared by every conv of
+    one shape, kernel, stride and pad."""
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (wd + 2 * pad - kw) // stride + 1
+
+    def clipped(k, extent, n_out):
+        # Per offset o along one axis: the (output, input) slices of the
+        # output positions r whose input index o - pad + stride*r lies in
+        # [0, extent); lo is the first such r and hi one past the last.
+        spans = []
+        for o in range(k):
+            lo = max(0, -((o - pad) // stride))
+            hi = max(lo, min(n_out, (extent - 1 - o + pad) // stride + 1))
+            first = o - pad + stride * lo
+            spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
+        return spans
+
+    windows, borders = [], []
+    for ro, ri in clipped(kh, h, h_out):
+        for co, ci in clipped(kw, wd, w_out):
+            windows.append((np.s_[:, :, ro, co], np.s_[:, :, ri, ci]))
+            strips = (
+                (slice(0, ro.start), slice(0, w_out)),
+                (slice(ro.stop, h_out), slice(0, w_out)),
+                (ro, slice(0, co.start)),
+                (ro, slice(co.stop, w_out)),
+            )
+            borders.append(
+                tuple(np.s_[:, :, r, c] for r, c in strips if r.start < r.stop and c.start < c.stop)
+            )
+    return tuple(windows), tuple(borders)
+
+
 def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False):
     """2-D convolution of a (Cin, B, H, W) stack with (Cout, Cin, kh, kw) kernels,
     optionally followed by a ReLU.
@@ -455,10 +495,11 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False):
     kernel offsets' windows of the stack fill one (Cin*kh*kw, B*H'*W')
     column buffer, and ``w.reshape(Cout, -1) @ cols`` plus the bias is the
     output. Zero padding is never materialized: for each offset, only the
-    output positions whose input lies inside the map are copied into a
-    zeroed column buffer, and backward scatter-adds one ``w.T @ g`` product
-    per offset into the unpadded input gradient through the same clipped
-    windows. Backward rebuilds the columns for its one weight-gradient
+    output positions whose input lies inside the map are copied into an
+    uninitialized column buffer, and only the border strips left over are
+    zeroed (:func:`_conv_windows`); backward scatter-adds one ``w.T @ g``
+    product per offset into the unpadded input gradient through the same
+    clipped windows. Backward rebuilds the columns for its one weight-gradient
     product, so between forward and backward the node keeps its output and
     no column buffer or padded copy.
 
@@ -486,31 +527,16 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False):
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"input {h}x{wd} too small for kernel {kh}x{kw} stride {stride}")
 
-    def clipped(k, extent, n_out):
-        # Per offset o along one axis: the (output, input) slices of the
-        # output positions r whose input index o - pad + stride*r lies in
-        # [0, extent); lo is the first such r and hi one past the last.
-        spans = []
-        for o in range(k):
-            lo = max(0, -((o - pad) // stride))
-            hi = max(lo, min(n_out, (extent - 1 - o + pad) // stride + 1))
-            first = o - pad + stride * lo
-            spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
-        return spans
-
-    # Offset k = i*kw + j, as in w.reshape(Cout, -1); each window is an
-    # (output key, input key) pair.
-    windows = [
-        (np.s_[:, :, ro, co], np.s_[:, :, ri, ci])
-        for ro, ri in clipped(kh, h, h_out)
-        for co, ci in clipped(kw, wd, w_out)
-    ]
+    windows, borders = _conv_windows(h, wd, kh, kw, stride, pad)
     wm = wdata.reshape(cout, -1)
 
     def columns():
-        cols = np.zeros((cin, kh * kw, n, h_out, w_out))
+        cols = np.empty((cin, kh * kw, n, h_out, w_out))
         for k, (at_out, at_in) in enumerate(windows):
-            cols[:, k][at_out] = xs[at_in]
+            plane = cols[:, k]
+            plane[at_out] = xs[at_in]
+            for strip in borders[k]:
+                plane[strip] = 0.0
         return cols.reshape(cin * kh * kw, -1)
 
     def grad_x(g):

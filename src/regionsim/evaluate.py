@@ -84,7 +84,9 @@ def recall_at_k(
     """Fraction of queries with a gallery hit within radius in the top k.
 
     Ranking is by descending dot-product similarity with ties broken toward
-    the lowest gallery id; positions are reported (noisy) coordinates.
+    the lowest gallery id; positions are reported (noisy) coordinates. Each
+    query orders only its candidates for the top max(ks), not the whole
+    gallery.
     """
     g = np.asarray(gallery_descs, dtype=np.float64)
     if g.shape[0] == 0:
@@ -99,9 +101,15 @@ def recall_at_k(
     gp = np.asarray(gallery_pos, dtype=np.float64)
 
     hits = {k: 0 for k in ks}
-    gallery_ids = np.arange(g.shape[0])
+    k_max = max(ks)
+    cut = g.shape[0] - k_max
     for i, scores in enumerate(sims):
-        close = np.abs(gp[ranked(scores, gallery_ids)] - qp[i]) <= radius_m
+        # Only rows scoring at least the k_max-th best can rank in the top
+        # k_max; ties at that score are all kept, so ``ranked`` breaks them
+        # as it would over the whole gallery.
+        kth = np.partition(scores, cut)[cut]
+        top = ranked(scores, np.flatnonzero(scores >= kth))[:k_max]
+        close = np.abs(gp[top] - qp[i]) <= radius_m
         for k in ks:
             if bool(close[:k].any()):
                 hits[k] += 1

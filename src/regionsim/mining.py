@@ -137,16 +137,24 @@ def k_reciprocal(
 
 def hardest_negative_region(
     query_desc: np.ndarray,
-    negative_fm: np.ndarray,
+    negative: np.ndarray,
     params: vlad_mod.VladParams,
     region_ids: Sequence[int] = ALL_REGION_IDS,
 ) -> tuple[int, np.ndarray]:
     """Region of the negative most similar to the query, by exhaustive scan.
 
-    Scores the full map (id 0) and all eight sub-regions with the current
-    parameters in one aggregation; ties go to the first listed, lowest
-    region id. ``region_ids`` narrows the scan for the halves-only ablation.
+    ``negative`` is the negative's (R, K*D) region matrix, row r describing
+    ``region_ids[r]``, and is scored as given; a (D, H, W) feature map is
+    first aggregated over ``region_ids`` with the current parameters, the
+    full map (id 0) and all eight sub-regions by default. Ties go to the
+    first listed, lowest region id. ``region_ids`` narrows the scan for the
+    halves-only ablation.
     """
-    regions = vlad_mod.aggregate_regions(params.as_arrays(), negative_fm, region_ids)
+    regions = np.asarray(negative, dtype=np.float64)
+    if regions.ndim == 3:
+        regions = vlad_mod.aggregate_regions(params.as_arrays(), regions, region_ids)
+    want = (len(region_ids), params.k * params.dim)
+    if regions.shape != want:
+        raise ShapeError(f"expected a (D, H, W) map or {want} rows, got {np.shape(negative)}")
     best = int(np.argmax(regions @ query_desc))
     return int(region_ids[best]), regions[best]

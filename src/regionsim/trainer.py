@@ -72,10 +72,12 @@ from .synthcity import Dataset, GeoImage
 
 
 # Images per gradient-free encoder stack. Fixed, so that the worker count
-# never changes a stack. On 32x96 images at one BLAS thread (2-vCPU Xeon
-# VM, 2 MiB L2 per core), encode_images takes 212/186/178/191/257 us per
-# image at chunks of 4/8/16/32/64: from 32 up, layer 2's column buffer
-# (3.5 MB) outgrows the L2.
+# never changes a stack, and another size would change the training bits
+# (a chunk's conv weight gradient sums its images in one product). On
+# 32x96 images at one BLAS thread (2-vCPU Xeon VM, 2 MiB L2 per core),
+# encode_images takes 125/111/105/112/146 us per image at chunks of
+# 4/8/16/32/64: from 32 up, layer 2's column buffer (3.5 MB) outgrows the
+# L2.
 ENCODE_CHUNK = 16
 
 def params_digest(model: Model) -> str:
@@ -109,23 +111,23 @@ def encode_chunks(pixels: Sequence[np.ndarray]) -> list[range]:
 def describe_chunks(
     model: Model, images: Sequence[GeoImage], region_ids: Sequence[int], workers: int = 1
 ):
-    """The one loop from images to feature maps and region rows: yields, for
-    each run of :func:`encode_chunks`, in order, (run, its (D, B, h, w) maps,
-    its (B, R, K*D) ``aggregate_regions`` rows). Tensor parameters give
-    graph nodes, array parameters (``model.as_arrays()``) give arrays.
-    Images of one run must share one shape (``encoder.encode`` raises
-    ``ShapeError`` otherwise).
+    """The one loop from images to region rows: yields, for each run of
+    :func:`encode_chunks`, in order, (run, the (B, R, K*D)
+    ``aggregate_regions`` rows of its encoded images). Tensor parameters
+    give graph nodes, array parameters (``model.as_arrays()``) give
+    arrays. Images of one run must share one shape (``encoder.encode``
+    raises ``ShapeError`` otherwise).
 
-    Chunks come one at a time. The gradient-free path,
-    :func:`encode_images`, keeps only each chunk's region rows, so a
-    chunk's maps are freed as the next one is encoded; ``_batch_loss``
-    keeps its maps for the hardest-negative scan. With ``workers`` > 1 the
-    pool may run ahead of the caller."""
+    Chunks come one at a time, and a chunk's feature maps are freed once
+    its rows no longer need them: at once on the gradient-free path,
+    :func:`encode_images`, and in the training graph once backward has
+    passed them. With ``workers`` > 1 the pool may run ahead of the
+    caller."""
     pixels = [img.pixels for img in images]
 
     def one(chunk: range):
         fms = enc.encode(model.encoder, pixels[chunk.start : chunk.stop])
-        return chunk, fms, vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
+        return chunk, vlad_mod.aggregate_regions(model.vlad, fms, region_ids)
 
     chunks = encode_chunks(pixels)
     if workers > 1 and len(chunks) > 1:
@@ -143,14 +145,13 @@ def encode_images(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradient-free (R, K*D) region matrices, one per image and each a view
     of its chunk's rows, and the (N, K*D) full descriptors, by
-    :func:`describe_chunks`. Only the region rows are kept: each chunk's
-    feature maps are dropped as the next chunk is encoded. ``region_ids``
-    must start with the full map, whose row gives the descriptor."""
+    :func:`describe_chunks`. ``region_ids`` must start with the full map,
+    whose row gives the descriptor."""
     if region_ids[0] != FULL_REGION:
         raise ParameterError(f"region ids must start with the full map, got {region_ids}")
     matrices: list[np.ndarray] = []
     descriptors = [np.zeros((0, model.descriptor_dim))]
-    for _, _, rows in describe_chunks(model.as_arrays(), images, region_ids, workers):
+    for _, rows in describe_chunks(model.as_arrays(), images, region_ids, workers):
         matrices.extend(rows)
         descriptors.append(rows[:, 0])
     return matrices, np.concatenate(descriptors)
@@ -285,7 +286,9 @@ def _batch_loss(
     top-k ablation a later generation's loss reads only the first. Queries
     get their full-map descriptor; gallery images get this generation's
     region matrix (the full map alone in generation 1), and negative
-    regions, when on, come from the same set. Tuples read their rows out of
+    regions, when on, come from the same set: the row whose values score
+    highest against the query (``hardest_negative_region`` on the graph's
+    own rows, with no second aggregation). Tuples read their rows out of
     these stacks, so an image used by several tuples is one row whose
     gradient accumulates from every consumer. A tuple's soft-label record,
     if any, lists exactly its positive rows in order.
@@ -293,34 +296,34 @@ def _batch_loss(
     region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
 
     def describe(split: list[GeoImage], rows: list[int], rids: tuple[int, ...]):
-        # Row r -> (its chunk's feature maps, its chunk's region rows, its index).
+        # Row r -> (its chunk's region rows, its index in the chunk).
         done = describe_chunks(model, [split[r] for r in rows], rids)
-        return {rows[i]: (fms, descs, j) for run, fms, descs in done for j, i in enumerate(run)}
+        return {rows[i]: (descs, j) for run, descs in done for j, i in enumerate(run)}
 
     queries = describe(train_q, list(dict.fromkeys(q for q, _, _, _ in batch)), (FULL_REGION,))
     used = (row for _, pos_rows, negs, _ in batch for row in pos_rows + negs)
     gallery = describe(train_g, list(dict.fromkeys(used)), region_ids)
 
     def regions(grow: int) -> ag.Tensor:
-        _, rows, j = gallery[grow]
+        rows, j = gallery[grow]
         return rows[j]
 
     def gallery_desc(grow: int, rid: int = FULL_REGION) -> ag.Tensor:
-        _, rows, j = gallery[grow]
+        rows, j = gallery[grow]
         return rows[j, region_ids.index(rid)]
 
     losses = []
     for qrow, pos_rows, negs, rec in batch:
-        _, rows, j = queries[qrow]
+        rows, j = queries[qrow]
         q = rows[j, 0]
         if omega >= 2 and cfg.use_neg_regions:
-            # Region choice is a no-grad argmax; the chosen region's row of
-            # the graph's region matrix then carries the gradients.
+            # Region choice is a no-grad argmax over the values of the
+            # graph's region rows; the chosen row then carries the gradients.
             neg_descs = []
             for nrow in negs:
-                fms, _, j = gallery[nrow]
+                nrows, nj = gallery[nrow]
                 rid, _ = hardest_negative_region(
-                    q.data, fms.data[:, j], model.vlad, region_ids=region_ids
+                    q.data, nrows.data[nj], model.vlad, region_ids=region_ids
                 )
                 neg_descs.append(gallery_desc(nrow, rid))
         else:

@@ -9,6 +9,13 @@ import pytest
 from regionsim import autograd as ag
 from regionsim import encoder as enc
 from regionsim.errors import EvaluationError, ShapeError
+from regionsim.synthcity import WorldSpec, generate_dataset, load_dataset, write_dataset
+
+
+def dense_low_pass(x):
+    """The filter as two dense matrix products, the band's zeros included."""
+    h, w = x.shape[-2:]
+    return enc._low_pass_matrix(h) @ x @ enc._low_pass_matrix(w).T
 
 
 class TestShapes:
@@ -44,6 +51,29 @@ class TestLowPass:
         rr = (np.arange(16)[:, None] // 2 + np.arange(32)[None, :] // 2) % 2
         out = enc.low_pass(rr.astype(np.float64))[4:-4, 4:-4]
         assert np.ptp(out) <= 0.25 * np.ptp(rr)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_world_images_give_the_dense_products_bits(self, seed):
+        # Float32 pixels in {0} and [0.38, 1]: every partial sum is exact.
+        images = [img.pixels for img in generate_dataset(WorldSpec(seed=seed)).images]
+        stack = np.asarray(images, dtype=np.float64)
+        assert np.array_equal(enc.low_pass(stack), dense_low_pass(stack))
+        for img in stack:
+            assert np.array_equal(enc.low_pass(img), dense_low_pass(img))
+
+    def test_loaded_world_images_give_the_dense_products_bits(self, tmp_path):
+        ds = generate_dataset(WorldSpec(seed=0))
+        write_dataset(ds, str(tmp_path))
+        loaded = np.asarray([img.pixels for img in load_dataset(str(tmp_path)).images], np.float64)
+        want = dense_low_pass(np.asarray([img.pixels for img in ds.images], np.float64))
+        assert np.array_equal(dense_low_pass(loaded), want)
+        assert np.array_equal(enc.low_pass(loaded), want)
+
+    @pytest.mark.parametrize("shape", [(5, 9, 12), (3, 32, 96), (2, 17, 70), (4, 8, 33), (40, 36)])
+    def test_float64_stacks_match_the_dense_products_to_rounding(self, shape):
+        # Widths below, at and past one block of output columns.
+        x = np.random.default_rng(shape[-1]).uniform(0, 1, size=shape)
+        np.testing.assert_allclose(enc.low_pass(x), dense_low_pass(x), rtol=0, atol=1e-15)
 
     def test_one_pixel_shift_keeps_descriptors_close(self):
         from regionsim.model import init_model

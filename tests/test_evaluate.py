@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from regionsim import autograd as ag
 from regionsim import evaluate as ev
 from regionsim.errors import DegenerateInputError, FitError, ParameterError, ShapeError
+from regionsim.mining import ranked, similarities
 
 
 def identity_covariance_data(rng, n, d):
@@ -160,6 +161,14 @@ class TestRecall:
         assert r[1] == 0.0  # id 0 ranked first, 100 m away
         assert r[2] == 1.0  # id 1 within radius
 
+    def test_ties_across_the_kth_place(self):
+        # Scores 1, 3, 2, 2, 2, 0: rows 2-4 tie across the second place, and
+        # only row 3 is within the radius, so it ranks third, not second.
+        g = np.array([[1.0], [3.0], [2.0], [2.0], [2.0], [0.0]])
+        gp = np.array([100.0, 100.0, 100.0, 0.0, 100.0, 100.0])
+        r = ev.recall_at_k(np.ones((1, 1)), np.zeros(1), g, gp, ks=(1, 2, 3, 6))
+        assert r == {1: 0.0, 2: 0.0, 3: 1.0, 6: 1.0}
+
     def test_parameter_errors(self):
         q = np.zeros((2, 3))
         with pytest.raises(ParameterError):
@@ -168,6 +177,31 @@ class TestRecall:
             ev.recall_at_k(q, np.zeros(2), np.zeros((4, 3)), np.zeros(4), ks=(5,))
         with pytest.raises(ShapeError):
             ev.recall_at_k(q, np.zeros(2), np.zeros((4, 2)), np.zeros(4), ks=(1,))
+
+
+def full_sort_recall(q, qp, g, gp, ks):
+    """Recall@k with every gallery row ranked for every query."""
+    hits = {k: 0 for k in ks}
+    for i, scores in enumerate(similarities(q, g)):
+        close = np.abs(gp[ranked(scores, np.arange(len(g)))] - qp[i]) <= ev.DEFAULT_RADIUS_M
+        for k in ks:
+            hits[k] += bool(close[:k].any())
+    return {k: hits[k] / len(q) for k in ks}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_g=st.integers(1, 30), data=st.data())
+def test_recall_matches_a_full_sort_on_tied_scores(seed, n_g, data):
+    """Small integer descriptors give integer scores, so many gallery rows
+    tie, often across the k-th place; k runs up to the gallery size."""
+    ks = tuple(data.draw(st.lists(st.integers(1, n_g), min_size=1, max_size=4, unique=True)))
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    q = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
+    g = rng.integers(-2, 3, size=(n_g, d)).astype(float)
+    qp = rng.integers(0, 80, size=len(q)).astype(float)
+    gp = rng.integers(0, 80, size=n_g).astype(float)
+    assert ev.recall_at_k(q, qp, g, gp, ks) == full_sort_recall(q, qp, g, gp, ks)
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,8 +17,9 @@ from regionsim import autograd as ag
 from regionsim import evaluate as ev
 from regionsim import mining, trainer, vlad
 from regionsim.config import RunConfig
-from regionsim.errors import ParameterError
+from regionsim.errors import ParameterError, ShapeError
 from regionsim.model import init_model
+from regionsim.regions import ALL_REGION_IDS, HALVES_ONLY_IDS
 from regionsim.seeding import derive_rng
 from regionsim.synthcity import Dataset, GeoImage, WorldSpec, generate_dataset
 
@@ -305,6 +306,25 @@ class TestHardestNegativeRegion:
             np.testing.assert_allclose(float(desc @ query), want_sim, rtol=0, atol=0)
             # argmax dominance over the plain full-image similarity
             assert float(desc @ query) >= float(oracle_descs[0] @ query)
+
+
+    @pytest.mark.parametrize("region_ids", [ALL_REGION_IDS, HALVES_ONLY_IDS])
+    def test_region_matrix_is_scored_as_given(self, region_ids):
+        # A negative's region rows, as the training graph holds them, pick
+        # the region and row that aggregating its map picks.
+        rng = np.random.default_rng(108)
+        params = self.make_params(seed=3)
+        for _ in range(10):
+            fm = rng.normal(size=(3, 4, 12))
+            query = rng.normal(size=12)
+            query /= np.linalg.norm(query)
+            rows = vlad.aggregate_regions(params.as_arrays(), fm, region_ids)
+            rid, desc = mining.hardest_negative_region(query, rows, params, region_ids)
+            want_rid, want_desc = mining.hardest_negative_region(query, fm, params, region_ids)
+            assert rid == want_rid and np.array_equal(desc, want_desc)
+        for bad in (rows[1:], rows[0], fm[None]):
+            with pytest.raises(ShapeError):
+                mining.hardest_negative_region(query, bad, params, region_ids)
 
 
 class TestTupleGeography:
