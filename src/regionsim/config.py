@@ -53,27 +53,23 @@ class RunConfig:
     eval_out_dim: int = 64
     center_init_images: int = 16
 
-    @classmethod
-    def create(cls, **kw) -> "RunConfig":
-        """Resolve ablation implications and the temperature schedule."""
-        if kw.get("naive_topk"):
-            kw["use_soft"] = False
-            kw["use_regions"] = False
-        if kw.get("use_regions") is False:
-            kw["use_neg_regions"] = False  # no sub-regions means none anywhere
-        cfg = cls(**kw)
-        n_taus = cfg.generations - 1
-        if cfg.const_tau:
-            taus = (TAU_START,) * n_taus
-        elif cfg.taus:
-            taus = cfg.taus
-        else:
-            taus = tuple(round(TAU_START - TAU_STEP * i, 10) for i in range(n_taus))
-        object.__setattr__(cfg, "taus", taus)
-        cfg.validate()
-        return cfg
-
-    def validate(self):
+    def __post_init__(self):
+        """Resolve the ablation implications and the temperature schedule,
+        then validate, whether built by ``RunConfig(...)``, :meth:`create` or
+        ``dataclasses.replace``. An explicit ``taus`` is kept as given, so a
+        ``replace`` that changes ``generations`` against a stale schedule
+        raises ConfigError; pass ``taus=()`` for the default schedule."""
+        if self.naive_topk:
+            object.__setattr__(self, "use_soft", False)
+            object.__setattr__(self, "use_regions", False)
+        if not self.use_regions:
+            object.__setattr__(self, "use_neg_regions", False)  # no sub-regions anywhere
+        n_taus = self.generations - 1
+        if self.const_tau:
+            object.__setattr__(self, "taus", (TAU_START,) * n_taus)
+        elif not self.taus:
+            default = tuple(round(TAU_START - TAU_STEP * i, 10) for i in range(n_taus))
+            object.__setattr__(self, "taus", default)
         try:
             if self.generations < 1:
                 raise ConfigError(f"generations must be >= 1, got {self.generations}")
@@ -104,6 +100,11 @@ class RunConfig:
             raise
         except Exception as exc:  # schedule errors surface as config errors
             raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def create(cls, **kw) -> "RunConfig":
+        """The same as ``RunConfig(**kw)``."""
+        return cls(**kw)
 
     def canonical_lines(self) -> list[str]:
         """Effective config as dotted-key lines the parser accepts back."""

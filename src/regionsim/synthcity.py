@@ -6,6 +6,10 @@ meter. Reported GPS positions carry Gaussian noise, so geographic "within
 10 m" supervision is genuinely weak: close-by reported positions may face
 opposite directions or barely overlap. True positions and headings live in
 a sidecar used only by verification tooling, never by training.
+
+View overlap has one definition, ``_overlap``, over broadcast arrays of
+poses: :func:`region_overlap` applies it to one pair, and
+:func:`weak_label_stats` to all of a world's close train pairs at once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DatasetError, ParameterError
-from .regions import FIRST_HALF, REGION_LAYOUT, SECOND_HALF, WHOLE
+from .mining import POSITIVE_RADIUS_M
+from .regions import FIRST_HALF, FULL_REGION, REGION_LAYOUT, SECOND_HALF, WHOLE
 from .seeding import derive_rng
 
 SPLITS = ("train-query", "train-gallery", "test-query", "test-gallery")
@@ -196,21 +201,6 @@ def view_interval(x: float, window_m: float) -> tuple[float, float]:
     return x - window_m / 2.0, x + window_m / 2.0
 
 
-def _intersection(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def overlap_fraction(a: GeoImage, b: GeoImage, window_m: float) -> float:
-    """Shared fraction of the two facade windows; 0 across headings."""
-    if a.world_key != b.world_key:
-        raise DatasetError("cannot compare views from different worlds")
-    if a.heading != b.heading:
-        return 0.0
-    ia = view_interval(a.true_x, window_m)
-    ib = view_interval(b.true_x, window_m)
-    return _intersection(ia, ib) / window_m
-
-
 def region_interval(x: float, window_m: float, region_id: int) -> tuple[float, float]:
     """Facade interval covered by one region of the view at ``x``: the
     region's column part of the window."""
@@ -221,15 +211,23 @@ def region_interval(x: float, window_m: float, region_id: int) -> tuple[float, f
     return halves[REGION_LAYOUT[region_id][1]]
 
 
+def _overlap(q_x, q_heading, g_x, g_heading, region_id: int, window_m: float) -> np.ndarray:
+    """Fraction of each gallery region's facade interval visible to its
+    query, over broadcast arrays of true positions and headings; 0 across
+    headings."""
+    q_lo, q_hi = view_interval(q_x, window_m)
+    r_lo, r_hi = region_interval(g_x, window_m, region_id)
+    shared = np.maximum(0.0, np.minimum(q_hi, r_hi) - np.maximum(q_lo, r_lo))
+    return np.where(q_heading == g_heading, shared / (r_hi - r_lo), 0.0)
+
+
 def region_overlap(query: GeoImage, gallery: GeoImage, region_id: int, window_m: float) -> float:
     """Fraction of the gallery region's facade interval visible to the query."""
     if query.world_key != gallery.world_key:
         raise DatasetError("cannot compare views from different worlds")
-    if query.heading != gallery.heading:
-        return 0.0
-    iq = view_interval(query.true_x, window_m)
-    ir = region_interval(gallery.true_x, window_m, region_id)
-    return _intersection(iq, ir) / (ir[1] - ir[0])
+    return float(
+        _overlap(query.true_x, query.heading, gallery.true_x, gallery.heading, region_id, window_m)
+    )
 
 
 def generate_dataset(spec: WorldSpec) -> Dataset:
@@ -237,7 +235,6 @@ def generate_dataset(spec: WorldSpec) -> Dataset:
     world = World(spec)
     lo, hi = world.bounds()
     images: list[GeoImage] = []
-    next_id = 0
     for split in SPLITS:
         n = spec.split_counts()[split]
         cam_rng = derive_rng(spec.seed, "cameras", split)
@@ -245,44 +242,33 @@ def generate_dataset(spec: WorldSpec) -> Dataset:
         positions = cam_rng.uniform(lo, hi, size=n)
         headings = np.where(cam_rng.random(n) < spec.heading_balance, 1, -1)
         noise = gps_rng.normal(0.0, spec.noise_sigma_m, size=n)
-        for i in range(n):
-            true_x = float(positions[i])
-            heading = int(headings[i])
-            reported = float(np.clip(true_x + noise[i], 0.0, spec.length_m))
-            images.append(
-                GeoImage(
-                    id=next_id,
-                    pixels=render_view(world, true_x, heading),
-                    true_x=true_x,
-                    reported_x=reported,
-                    heading=heading,
-                    split=split,
-                    world_key=world.key,
-                )
-            )
-            next_id += 1
+        reported = np.clip(positions + noise, 0.0, spec.length_m).tolist()
+        for true_x, heading, gps_x in zip(positions.tolist(), headings.tolist(), reported):
+            pixels = render_view(world, true_x, heading)
+            images.append(GeoImage(len(images), pixels, true_x, gps_x, heading, split, world.key))
     ds = Dataset(spec=spec, images=images)
     ds.stats = weak_label_stats(ds)
     return ds
 
 
 def weak_label_stats(ds: Dataset) -> dict:
-    """How noisy the geographic supervision is, per the sidecar truth."""
-    queries = ds.split("train-query")
-    gallery = ds.split("train-gallery")
-    close_pairs = 0
-    zero_overlap = 0
-    for q in queries:
-        for g in gallery:
-            if abs(q.reported_x - g.reported_x) <= 10.0:
-                close_pairs += 1
-                if overlap_fraction(q, g, ds.spec.window_m) == 0.0:
-                    zero_overlap += 1
-    frac = (zero_overlap / close_pairs) if close_pairs else 0.0
+    """How noisy the geographic supervision is, per the sidecar truth: the
+    train pairs reported within the positive radius, and those of them
+    whose views share no facade. Overlap is measured on the close pairs
+    only, so no (Q, G) float temporary outlives the radius test."""
+    def columns(split):
+        return np.array([(i.reported_x, i.true_x, i.heading) for i in ds.split(split)]).T
+
+    q_rep, q_x, q_heading = columns("train-query")
+    g_rep, g_x, g_heading = columns("train-gallery")
+    q, g = np.nonzero(np.abs(q_rep[:, None] - g_rep) <= POSITIVE_RADIUS_M)
+    shared = _overlap(q_x[q], q_heading[q], g_x[g], g_heading[g], FULL_REGION, ds.spec.window_m)
+    close_pairs = len(q)
+    zero_overlap = int((shared == 0.0).sum())
     return {
         "close_pairs_within_10m": close_pairs,
         "zero_overlap_close_pairs": zero_overlap,
-        "noisy_positive_fraction": frac,
+        "noisy_positive_fraction": (zero_overlap / close_pairs) if close_pairs else 0.0,
     }
 
 

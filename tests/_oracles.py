@@ -229,3 +229,24 @@ def per_image_batch_loss(model, batch, train_q, train_g, cfg, omega, region_ids)
     for loss in losses[1:]:
         total = ag.add(total, loss)
     return ag.scale(total, 1.0 / len(losses))
+
+
+def brute_weak_label_stats(ds):
+    """Label-noise counts by a loop over every train (query, gallery) pair:
+    close when reported within the positive radius, disjoint when the true
+    windows share no facade interval."""
+    w = ds.spec.window_m
+    close_pairs = zero_overlap = 0
+    for q in ds.split("train-query"):
+        for g in ds.split("train-gallery"):
+            if abs(q.reported_x - g.reported_x) <= POSITIVE_RADIUS_M:
+                close_pairs += 1
+                hi = min(q.true_x + w / 2, g.true_x + w / 2)
+                lo = max(q.true_x - w / 2, g.true_x - w / 2)
+                if q.heading != g.heading or hi <= lo:
+                    zero_overlap += 1
+    return {
+        "close_pairs_within_10m": close_pairs,
+        "zero_overlap_close_pairs": zero_overlap,
+        "noisy_positive_fraction": (zero_overlap / close_pairs) if close_pairs else 0.0,
+    }

@@ -79,6 +79,39 @@ class TestRunConfigCreate:
             RunConfig.create(**kw)
 
 
+class TestOneConstructionPath:
+    """The constructor, ``create`` and ``dataclasses.replace`` all resolve
+    the implications and the schedule, and all validate."""
+
+    def test_constructor_resolves_the_schedule(self):
+        assert RunConfig().taus == (0.07, 0.06, 0.05)
+        assert RunConfig(generations=2).taus == (0.07,)
+        assert RunConfig(const_tau=True).taus == (0.07, 0.07, 0.07)
+        assert RunConfig() == RunConfig.create()
+
+    def test_constructor_applies_the_implications(self):
+        cfg = RunConfig(naive_topk=True)
+        assert not (cfg.use_soft or cfg.use_regions or cfg.use_neg_regions)
+        assert not RunConfig(use_regions=False).use_neg_regions
+
+    def test_replace_keeps_the_implications(self):
+        cfg = replace(RunConfig.create(), naive_topk=True)
+        assert not (cfg.use_soft or cfg.use_regions or cfg.use_neg_regions)
+        assert cfg == RunConfig.create(naive_topk=True)
+        assert not replace(RunConfig.create(), use_regions=False).use_neg_regions
+
+    def test_replace_against_a_stale_schedule_is_rejected(self):
+        with pytest.raises(ConfigError, match="schedule needs 1 temperatures, got 3"):
+            replace(RunConfig.create(), generations=2)
+        assert replace(RunConfig.create(), generations=2, taus=()).taus == (0.07,)
+
+    def test_constructor_and_replace_validate(self):
+        with pytest.raises(ConfigError):
+            RunConfig(epochs=0)
+        with pytest.raises(ConfigError):
+            replace(RunConfig.create(), lr=0.0)
+
+
 class TestConfigDigest:
     def test_digest_is_stable(self):
         a = cfg_mod.config_digest(RunConfig.create(), "w1")

@@ -5,9 +5,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import brute_weak_label_stats
 from regionsim import synthcity as sc
 from regionsim.errors import DatasetError, ParameterError
+from regionsim.regions import ALL_REGION_IDS, FULL_REGION
 
 
 def small_spec(seed=0, **kw):
@@ -21,6 +25,10 @@ def small_spec(seed=0, **kw):
     )
     base.update(kw)
     return sc.WorldSpec(**base)
+
+
+# The default world with a 4x gallery and 512 test queries.
+FOUR_X = sc.WorldSpec(n_train_gallery=1024, n_test_queries=512, n_test_gallery=1024)
 
 
 def view(world, x, heading, image_id=0, split="train-query"):
@@ -144,26 +152,29 @@ class TestOverlapTruth:
         self.world = sc.World(self.spec)
         self.w = self.spec.window_m
 
+    def full(self, a, b):
+        return sc.region_overlap(a, b, FULL_REGION, self.w)
+
     def test_same_pose_full_overlap(self):
         a, b = view(self.world, 50.0, 1, 0), view(self.world, 50.0, 1, 1)
-        assert sc.overlap_fraction(a, b, self.w) == 1.0
+        assert self.full(a, b) == 1.0
 
     def test_opposite_headings_zero(self):
         a, b = view(self.world, 50.0, 1, 0), view(self.world, 50.0, -1, 1)
-        assert sc.overlap_fraction(a, b, self.w) == 0.0
+        assert self.full(a, b) == 0.0
 
     def test_half_window_shift_gives_half(self):
         a = view(self.world, 50.0, 1, 0)
         b = view(self.world, 50.0 + self.w / 2, 1, 1)
-        assert sc.overlap_fraction(a, b, self.w) == 0.5
+        assert self.full(a, b) == 0.5
 
     def test_symmetric_and_maximal_only_at_same_position(self):
         rng = np.random.default_rng(301)
         for _ in range(50):
             xa, xb = rng.uniform(6, 114, size=2)
             a, b = view(self.world, xa, 1, 0), view(self.world, xb, 1, 1)
-            fab = sc.overlap_fraction(a, b, self.w)
-            fba = sc.overlap_fraction(b, a, self.w)
+            fab = self.full(a, b)
+            fba = self.full(b, a)
             assert fab == fba
             assert 0.0 <= fab <= 1.0
             assert (fab == 1.0) == (xa == xb)
@@ -173,7 +184,7 @@ class TestOverlapTruth:
         a = view(self.world, 50.0, 1, 0)
         b = view(other, 50.0, 1, 1)
         with pytest.raises(DatasetError):
-            sc.overlap_fraction(a, b, self.w)
+            self.full(a, b)
 
     def test_region_overlap_frozen_case(self):
         # Query 3 m right of the gallery image: window [47,59] vs [44,56].
@@ -211,6 +222,29 @@ class TestOverlapTruth:
         with pytest.raises(ParameterError):
             sc.region_overlap(g, g, 9, self.w)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_array_overlap_matches_each_pair(self, data):
+        """``_overlap`` over broadcast (Q, G) arrays gives, entry by entry,
+        the value and type ``region_overlap`` gives the pair."""
+        lo, hi = self.world.bounds()
+        poses = st.lists(
+            st.tuples(st.sampled_from([lo, hi]) | st.floats(lo, hi), st.sampled_from([1, -1])),
+            min_size=1,
+            max_size=6,
+        )
+        queries = [view(self.world, x, h, i) for i, (x, h) in enumerate(data.draw(poses))]
+        gallery = [view(self.world, x, h, i) for i, (x, h) in enumerate(data.draw(poses))]
+        q_x, q_heading = np.array([(q.true_x, q.heading) for q in queries]).T[:, :, None]
+        g_x, g_heading = np.array([(g.true_x, g.heading) for g in gallery]).T
+        for rid in ALL_REGION_IDS:
+            grid = sc._overlap(q_x, q_heading, g_x, g_heading, rid, self.w)
+            assert grid.shape == (len(queries), len(gallery))
+            for i, q in enumerate(queries):
+                for j, g in enumerate(gallery):
+                    pair = sc.region_overlap(q, g, rid, self.w)
+                    assert type(pair) is float and pair == grid[i, j]
+
 
 class TestGeneration:
     def test_split_counts_and_ids(self):
@@ -245,6 +279,27 @@ class TestGeneration:
         for ia, ib in zip(a.images, b.images):
             assert np.array_equal(ia.pixels, ib.pixels)
             assert ia.true_x == ib.true_x and ia.reported_x == ib.reported_x
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 5.0, 10.0])
+    def test_weak_label_stats_match_the_pair_loop(self, seed, noise):
+        ds = sc.generate_dataset(sc.WorldSpec(seed=seed, noise_sigma_m=noise))
+        assert ds.stats == brute_weak_label_stats(ds)
+
+    def test_weak_label_stats_match_the_pair_loop_on_the_4x_gallery(self):
+        ds = sc.generate_dataset(FOUR_X)
+        assert ds.stats == brute_weak_label_stats(ds)
+
+    @pytest.mark.parametrize(
+        "spec, close, zero", [(sc.WorldSpec(), 815, 454), (FOUR_X, 3387, 2054)]
+    )
+    def test_golden_weak_label_stats(self, spec, close, zero):
+        # Integer counts from seeded camera and GPS draws: they move only if
+        # sampling, clipping or the overlap truth does.
+        stats = sc.generate_dataset(spec).stats
+        assert stats["close_pairs_within_10m"] == close
+        assert stats["zero_overlap_close_pairs"] == zero
+        assert stats["noisy_positive_fraction"] == zero / close
 
     def test_weak_labels_include_zero_overlap_pairs(self):
         ds = sc.generate_dataset(small_spec(13))

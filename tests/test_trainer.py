@@ -626,6 +626,15 @@ class TestDeterminism:
         for name in ("gen1.ckpt", "gen2.ckpt", "labels_gen2.txt", "metrics.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
+    def test_plain_constructor_runs_the_same_pipeline(self, small_ds, small_run, tmp_path):
+        # RunConfig(...) resolves the temperature schedule as create does.
+        result, out = small_run
+        cfg = RunConfig(generations=2, epochs=1, k_positives=5, seed=0, workers=1, eval_out_dim=32)
+        again = trainer.run_pipeline(small_ds, cfg, out_dir=str(tmp_path))
+        assert again.metrics_csv == result.metrics_csv
+        for name in ("gen1.ckpt", "gen2.ckpt", "labels_gen2.txt"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
     def test_worker_pool_size_is_invisible(self, small_ds, small_run, tmp_path):
         result, out = small_run
         cfg4 = RunConfig.create(
