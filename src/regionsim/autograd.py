@@ -2,7 +2,7 @@
 
 Implements exactly the closed set of operations the retrieval model needs
 (convolution, matmul, softmax, L2 normalization, dot products, soft
-cross-entropy, softplus) plus the shape plumbing to connect them.
+cross-entropy, softplus, a row gather) plus the shape plumbing to connect them.
 Convolution and matmul take a leading batch axis, so one node serves a
 whole stack of images, and a convolution layer is one im2col gather and
 one BLAS product. The ReLU lives inside the convolution (``relu=True``):
@@ -348,12 +348,25 @@ def tensor_sum(a, axis=None):
     return _record(data.sum(axis=axis), (a,), vjp)
 
 
-def stack_rows(tensors: Sequence):
-    """Stack equal-length vectors into a matrix; row i backprops to input i."""
-    if not tensors:
-        raise ShapeError("stack_rows needs at least one vector")
-    rows = [lambda g, i=i: g[i] for i in range(len(tensors))]
-    return _record(np.stack([_data(t) for t in tensors], axis=0), tensors, *rows)
+def concat(tensors: Sequence):
+    """Join arrays along axis 0; each input's gradient is its own row range."""
+    arrays = [_data(t) for t in tensors]
+    bounds = np.cumsum([0] + [len(x) for x in arrays])
+    parts = [lambda g, a=a, b=b: g[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return _record(np.concatenate(arrays), tensors, *parts)
+
+
+def take(a, index):
+    """Rows of ``a`` at an integer index array, ``index.shape + a.shape[1:]``;
+    the VJP scatter-adds, so a row taken twice gets both gradients."""
+    data, index = _data(a), np.asarray(index, dtype=np.intp)
+
+    def vjp(g):
+        out = np.zeros_like(data)
+        np.add.at(out, index, g)
+        return out
+
+    return _record(data[index], (a,), vjp)
 
 
 def softplus(a):
@@ -394,16 +407,17 @@ def softmax_temp(v: Tensor | np.ndarray, tau: float):
 
 
 def soft_cross_entropy(y, y_hat: np.ndarray):
-    """Cross-entropy of distribution ``y`` against a constant target ``y_hat``.
+    """Cross-entropy of distribution ``y`` against a constant target ``y_hat``,
+    or of each row of a (T, C) matrix, summed.
 
     Returns -sum(y_hat * log(y)) with the log floored at 1e-30 so sharply
     peaked predictions cannot produce -inf.
     """
     yd = _data(y)
     target = np.asarray(y_hat, dtype=np.float64)
-    if yd.ndim != 1 or target.ndim != 1 or yd.shape != target.shape:
+    if yd.ndim not in (1, 2) or yd.shape != target.shape:
         raise ShapeError(f"distribution lengths differ: {yd.shape} vs {target.shape}")
-    if abs(target.sum() - 1.0) > 1e-6:
+    if np.any(np.abs(target.sum(axis=-1) - 1.0) > 1e-6):
         raise ParameterError("target weights must sum to 1")
     clipped = np.maximum(yd, LOG_FLOOR)
     out_data = -(target * np.log(clipped)).sum()

@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model, _ = to_model(ckpt)
     ds = load_dataset(args.data)
-    cfg = RunConfig.create(eval_out_dim=args.out_dim)
+    cfg = RunConfig(eval_out_dim=args.out_dim)
     recalls = trainer.evaluate_model(model, ds, cfg, args.workers or 1)
     for k in (1, 5, 10):
         print(f"recall@{k} {recalls[k]:.3f}")

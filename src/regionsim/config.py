@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .supervision import DEFAULT_TAUS, validate_schedule
@@ -32,7 +32,7 @@ class RunConfig:
     k_positives: int = 10
     n_negatives: int = 10
     lam: float = 0.5
-    taus: tuple[float, ...] = ()
+    taus: tuple[float, ...] = field(default=(), compare=False)  # as given; see schedule
     # Kept small for this network's gradient scale: from 0.001 up, one large
     # first-step gradient of a re-initialized generation, carried on by
     # momentum, moves every local feature by a common offset. All of them
@@ -52,13 +52,14 @@ class RunConfig:
     naive_topk: bool = False
     eval_out_dim: int = 64
     center_init_images: int = 16
+    # The resolved label temperatures, one per generation from 2 on.
+    schedule: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        """Resolve the ablation implications and the temperature schedule,
-        then validate, whether built by ``RunConfig(...)``, :meth:`create` or
-        ``dataclasses.replace``. An explicit ``taus`` is kept as given, so a
-        ``replace`` that changes ``generations`` against a stale schedule
-        raises ConfigError; pass ``taus=()`` for the default schedule."""
+        """Apply the ablation implications, resolve ``schedule`` from the
+        given ``taus`` (empty for the default) and validate, whether built by
+        ``RunConfig(...)`` or ``dataclasses.replace``, which so re-derives a
+        default schedule. Configs compare by ``schedule``, not ``taus``."""
         if self.naive_topk:
             object.__setattr__(self, "use_soft", False)
             object.__setattr__(self, "use_regions", False)
@@ -66,10 +67,12 @@ class RunConfig:
             object.__setattr__(self, "use_neg_regions", False)  # no sub-regions anywhere
         n_taus = self.generations - 1
         if self.const_tau:
-            object.__setattr__(self, "taus", (TAU_START,) * n_taus)
-        elif not self.taus:
-            default = tuple(round(TAU_START - TAU_STEP * i, 10) for i in range(n_taus))
-            object.__setattr__(self, "taus", default)
+            schedule = (TAU_START,) * n_taus
+        elif self.taus:
+            schedule = self.taus
+        else:
+            schedule = tuple(round(TAU_START - TAU_STEP * i, 10) for i in range(n_taus))
+        object.__setattr__(self, "schedule", schedule)
         try:
             if self.generations < 1:
                 raise ConfigError(f"generations must be >= 1, got {self.generations}")
@@ -90,12 +93,12 @@ class RunConfig:
                 raise ConfigError(f"eval out_dim must be >= 1, got {self.eval_out_dim}")
             if self.center_init_images < 1:
                 raise ConfigError("center_init_images must be >= 1")
-            if len(self.taus) != self.generations - 1:
+            if len(self.schedule) != self.generations - 1:
                 raise ConfigError(
-                    f"schedule needs {self.generations - 1} temperatures, got {len(self.taus)}"
+                    f"schedule needs {self.generations - 1} temperatures, got {len(self.schedule)}"
                 )
-            if self.taus:
-                validate_schedule(self.taus, strict=not self.const_tau)
+            if self.schedule:
+                validate_schedule(self.schedule, strict=not self.const_tau)
         except ConfigError:
             raise
         except Exception as exc:  # schedule errors surface as config errors
@@ -109,7 +112,8 @@ class RunConfig:
     def canonical_lines(self) -> list[str]:
         """Effective config as dotted-key lines the parser accepts back."""
         # workers is an execution detail; results must not depend on it.
-        return _canonical_lines(self, "train", skip=("workers",))
+        # train.taus echoes the resolved schedule.
+        return _canonical_lines(self, "train", skip=("workers",), taus=self.schedule)
 
 
 def config_digest(cfg: RunConfig, world_key: str = "") -> str:
@@ -143,7 +147,7 @@ def _schema(cls, section: str) -> dict:
     in field-name order."""
     types = typing.get_type_hints(cls)
     schema = {}
-    for f in sorted(fields(cls), key=lambda f: f.name):
+    for f in sorted((f for f in fields(cls) if f.init), key=lambda f: f.name):
         key = f"{section}.{f.name}"
         schema[_FIELD_TO_KEY.get(key, key)] = (f.name, types[f.name])
     return schema
@@ -153,13 +157,14 @@ _SECTIONS = {"world": _schema(WorldSpec, "world"), "train": _schema(RunConfig, "
 _KNOWN = {key: kind for schema in _SECTIONS.values() for key, (_, kind) in schema.items()}
 
 
-def _canonical_lines(obj, section: str, skip: tuple[str, ...] = ()) -> list[str]:
-    """``key = value`` lines for a config dataclass, in field-name order."""
+def _canonical_lines(obj, section: str, skip: tuple[str, ...] = (), **values) -> list[str]:
+    """``key = value`` lines for a config dataclass, in field-name order;
+    ``values`` replaces fields' values by name."""
     out = []
     for key, (name, _) in _SECTIONS[section].items():
         if name in skip:
             continue
-        v = getattr(obj, name)
+        v = values.get(name, getattr(obj, name))
         if isinstance(v, tuple):
             v = ",".join(repr(float(x)) for x in v)
         out.append(f"{key} = {v}")
@@ -220,4 +225,4 @@ def world_spec_from(values: dict) -> WorldSpec:
 
 
 def run_config_from(values: dict) -> RunConfig:
-    return RunConfig.create(**_pick(values, "train"))
+    return RunConfig(**_pick(values, "train"))

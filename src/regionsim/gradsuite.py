@@ -34,6 +34,13 @@ def _clear_of_kinks(params: enc.EncoderParams, images: np.ndarray) -> bool:
     )
 
 
+def _read_out(rng: np.random.Generator, out, params) -> float:
+    """Gradients of ``out()`` w.r.t. ``params``, read out by a fixed random
+    linear map drawn from ``rng``."""
+    r = rng.standard_normal(np.shape(ag._data(out())))
+    return ag.grad_check(lambda: (out() * r).sum(), params, eps=EPS)
+
+
 def _check_encoder(seed: int, image_shape: tuple) -> float:
     """Encoder gradients w.r.t. every kernel and bias, on an (H, W) image
     or a (B, H, W) stack: the first draw whose ReLU inputs all clear the
@@ -43,13 +50,7 @@ def _check_encoder(seed: int, image_shape: tuple) -> float:
     images = rng.uniform(0.0, 1.0, size=image_shape)
     while not _clear_of_kinks(params, images):
         images = rng.uniform(0.0, 1.0, size=image_shape)
-    *stack, h, w = image_shape
-    r = rng.standard_normal((16, *stack, h // 8, w // 8))
-
-    def fn():
-        return ag.tensor_sum(ag.mul(enc.encode(params, images), ag.constant(r)))
-
-    return ag.grad_check(fn, params.tensors(), eps=EPS)
+    return _read_out(rng, lambda: enc.encode(params, images), params.tensors())
 
 
 def check_encoder(seed: int = 0) -> float:
@@ -63,32 +64,25 @@ def check_encoder_stack(seed: int = 0) -> float:
     return _check_encoder(seed, (2, 8, 16))
 
 
-def _check_vlad(rng: np.random.Generator, fm_hw, readout_shape, describe) -> float:
-    """Gradients of ``describe(params, fm)``, read out by a fixed random
-    linear map, w.r.t. the centers and the input feature map."""
+def _check_vlad(rng: np.random.Generator, fm_hw, describe) -> float:
+    """Gradients of ``describe(params, fm)`` w.r.t. the centers and the
+    input feature map."""
     centers = ag.parameter(rng.standard_normal((4, 6)))
     params = vlad.VladParams(centers=centers)
     fm = ag.parameter(rng.standard_normal((6, *fm_hw)) * 0.5)
-    r = rng.standard_normal(readout_shape)
-
-    def fn():
-        return ag.tensor_sum(ag.mul(describe(params, fm), ag.constant(r)))
-
-    return ag.grad_check(fn, [centers, fm], eps=EPS)
+    return _read_out(rng, lambda: describe(params, fm), [centers, fm])
 
 
 def check_vlad_aggregate(seed: int = 0) -> float:
     """Whole-map aggregation."""
-    return _check_vlad(derive_rng(seed, "gradsuite", "vlad"), (2, 3), 4 * 6, vlad.aggregate)
+    return _check_vlad(derive_rng(seed, "gradsuite", "vlad"), (2, 3), vlad.aggregate)
 
 
 def check_vlad_regions(seed: int = 0) -> float:
     """All nine region rows of an odd-sized map, whose halves share the
     middle row and column."""
     rng = derive_rng(seed, "gradsuite", "vlad-regions")
-    return _check_vlad(
-        rng, (3, 5), (9, 4 * 6), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS)
-    )
+    return _check_vlad(rng, (3, 5), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS))
 
 
 def check_vlad_regions_stack(seed: int = 0) -> float:
@@ -96,7 +90,7 @@ def check_vlad_regions_stack(seed: int = 0) -> float:
     the batched products."""
     rng = derive_rng(seed, "gradsuite", "vlad-regions-stack")
     return _check_vlad(
-        rng, (3, 3, 5), (3, 9, 4 * 6), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS)
+        rng, (3, 3, 5), lambda p, fm: vlad.aggregate_regions(p, fm, ALL_REGION_IDS)
     )
 
 
@@ -115,15 +109,40 @@ def check_batched_matmul(seed: int = 0) -> float:
     return ag.grad_check(fn, [a, m, s], eps=EPS)
 
 
+def check_take(seed: int = 0) -> float:
+    """Row gather with a row taken twice in one index row and once more in
+    another, so its gradient sums three scatter-adds."""
+    rng = derive_rng(seed, "gradsuite", "take")
+    rows = ag.parameter(rng.standard_normal((5, 4)))
+    return _read_out(rng, lambda: ag.take(rows, [[0, 3, 3], [1, 3, 4]]), [rows])
+
+
+def check_concat(seed: int = 0) -> float:
+    """Axis-0 join of parts with different row counts."""
+    rng = derive_rng(seed, "gradsuite", "concat")
+    parts = [ag.parameter(rng.standard_normal((n, 3))) for n in (2, 1, 3)]
+    return _read_out(rng, lambda: ag.concat(parts), parts)
+
+
+def check_batch_soft_loss(seed: int = 0) -> float:
+    """Row-wise soft loss over rows of 6, 4 and 2 real columns. A padded
+    column must get a gradient of exactly 0, or the check fails outright."""
+    rng = derive_rng(seed, "gradsuite", "batch-soft")
+    sims = ag.parameter(rng.standard_normal((3, 6)))
+    widths = (6, 4, 2)
+    records = [
+        sup.SoftLabelRecord(0, 1, 0.07, sup.expected_entries(range(w), (0,)), tuple(weights))
+        for w, weights in ((w, rng.dirichlet(np.ones(w))) for w in widths)
+    ]
+    err = ag.grad_check(lambda: sup.batch_soft_loss(sims, records), [sims], eps=EPS)
+    padded = np.arange(6) >= np.array(widths)[:, None]
+    return err if np.all(sims.grad[padded] == 0.0) else np.inf
+
+
 def check_softmax_temp(seed: int = 0) -> float:
     rng = derive_rng(seed, "gradsuite", "softmax")
     logits = ag.parameter(rng.standard_normal(9))
-    r = rng.standard_normal(9)
-
-    def fn():
-        return ag.tensor_sum(ag.mul(ag.softmax_temp(logits, 0.07), ag.constant(r)))
-
-    return ag.grad_check(fn, [logits], eps=EPS)
+    return _read_out(rng, lambda: ag.softmax_temp(logits, 0.07), [logits])
 
 
 def check_soft_cross_entropy(seed: int = 0) -> float:
@@ -186,8 +205,11 @@ ALL_CHECKS = (
     ("vlad_regions", check_vlad_regions),
     ("vlad_regions_stack", check_vlad_regions_stack),
     ("batched_matmul", check_batched_matmul),
+    ("take", check_take),
+    ("concat", check_concat),
     ("softmax_temp", check_softmax_temp),
     ("soft_cross_entropy", check_soft_cross_entropy),
+    ("batch_soft_loss", check_batch_soft_loss),
     ("hard_loss", check_hard_loss),
     ("total_loss", check_total_loss),
 )

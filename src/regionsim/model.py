@@ -7,6 +7,8 @@ feature maps are decomposed into regions, all of a map's regions at once by
 ``vlad.aggregate_regions``. Training and ``trainer.encode_images`` (which
 gives the teacher's region matrices and every gradient-free descriptor) run
 both on stacks of images through one loop, ``trainer.describe_chunks``.
+Training then scores each batch once: its queries against one stack of its
+gallery images' region rows, in one ``supervision.score_matrix``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 A frozen previous-generation model scores each query against its difficult
 positives (optionally decomposed into regions); a sharp softmax over those
 scores becomes the immutable training target for the next generation. The
-student is always scored at temperature 1. Teacher and student alike score
-a positive's regions by :func:`region_sims`: one matrix-vector product
-against its (R, K*D) region matrix, which ``trainer.describe_chunks``
-builds for both. The hard loss is the pairwise softmax ranking loss in its
-numerically stable softplus form.
+student is always scored at temperature 1. Teacher and student score by
+:func:`score_matrix` against the (R, K*D) region matrices that
+``trainer.describe_chunks`` builds for both: the student a batch at a time,
+the teacher one query at a time (:func:`region_sims`). The hard loss is the
+pairwise softmax ranking loss in its numerically stable softplus form.
 """
 
 from __future__ import annotations
@@ -73,11 +73,22 @@ def expected_entries(
     return tuple((int(p), int(r)) for p in positive_ids for r in region_ids)
 
 
+def score_matrix(queries, rows, index):
+    """(T, C) scores ``S[t, c] = <queries[t], rows[index[t, c]]>`` of (T, K*D)
+    queries against an (M, K*D) row stack: one row gather, then one
+    matrix-vector product per row of S. Graph nodes in give a graph node
+    out; arrays give an array."""
+    t, c = np.shape(index)
+    return (ag.take(rows, index) @ ag.reshape(queries, (t, -1, 1))).reshape((t, c))
+
+
 def region_sims(query_desc, positive_regions):
-    """Similarity of the query to every region of every positive, in entry
-    order: one ``m @ query_desc`` per (R, K*D) region matrix m, flattened to
-    (P*R,). Graph nodes in give a graph node out; arrays give an array."""
-    return ag.stack_rows([m @ query_desc for m in positive_regions]).reshape((-1,))
+    """The query's scores against every region of every positive, in entry
+    order, (P*R,): :func:`score_matrix` with the query once per positive, so
+    each positive's R scores are one product against its region matrix."""
+    rows, p = ag.concat(positive_regions), len(positive_regions)
+    queries = ag.take(ag.reshape(query_desc, (1, -1)), [0] * p)
+    return score_matrix(queries, rows, np.arange(rows.shape[0]).reshape(p, -1)).reshape((-1,))
 
 
 def region_soft_labels(
@@ -116,34 +127,56 @@ def validate_record(record: SoftLabelRecord, region_ids: Sequence[int]):
         raise IntegrityError(f"label entries for query {record.query_id} are out of order")
 
 
+def batch_hard_loss(pos_scores, neg_scores, weights: np.ndarray) -> ag.Tensor:
+    """Sum of ``weights[t, p] * softplus(neg_scores[t, n] - pos_scores[t, p])``
+    over (T, P) positive and (T, N) negative scores: the pairwise softmax
+    loss -log[exp(s_p) / (exp(s_p) + exp(s_n))], which never overflows. The
+    constant weights pick each tuple's positives; a padded one weighs 0."""
+    t, p = np.shape(weights)
+    margins = neg_scores.reshape((t, 1, -1)) - pos_scores.reshape((t, p, 1))
+    return (ag.softplus(margins) * np.reshape(weights, (t, p, 1))).sum()
+
+
 def hard_loss(
     query_desc: ag.Tensor,
     positive_desc: ag.Tensor,
     negative_descs: Sequence[ag.Tensor],
 ) -> ag.Tensor:
-    """Sum over negatives of softplus(<q,n> - <q,p*>).
-
-    Algebraically equal to the pairwise softmax form
-    -log[exp<q,p*> / (exp<q,p*> + exp<q,n>)] summed over negatives, but never
-    overflows for large scores. The negatives are stacked into one matrix,
-    so the loss is one ``negs @ q - q.p``, one softplus and one sum.
-    """
+    """Sum over negatives of softplus(<q,n> - <q,p*>): one-tuple
+    :func:`batch_hard_loss` over the positive and negatives as score rows."""
     if len(negative_descs) == 0:
         raise ParameterError("hard loss needs at least one negative")
-    negs = ag.stack_rows(negative_descs)
-    return ag.softplus(negs @ query_desc - ag.dot(query_desc, positive_desc)).sum()
+    rows = ag.concat([ag.reshape(d, (1, -1)) for d in (positive_desc, *negative_descs)])
+    s = score_matrix(ag.reshape(query_desc, (1, -1)), rows, np.arange(rows.shape[0])[None])
+    return batch_hard_loss(s[:, :1], s[:, 1:], np.ones((1, 1)))
+
+
+def batch_soft_loss(student_sims, records: Sequence[SoftLabelRecord]) -> ag.Tensor:
+    """Sum over rows t of the cross-entropy between the student's
+    temperature-1 distribution over the first ``len(records[t].weights)``
+    columns of row t and those weights. Later columns are padding: -inf
+    before the softmax, so they get probability and gradient exactly 0."""
+    t, c = student_sims.shape
+    widths = np.array([len(rec.weights) for rec in records])
+    if widths.shape != (t,) or widths.max() > c:
+        raise IntegrityError(f"{widths.tolist()} stored weights do not fit {t} rows of {c} sims")
+    targets = np.zeros((t, c))
+    for row, rec in zip(targets, records):
+        row[: len(rec.weights)] = rec.weights
+    pad = np.where(np.arange(c) >= widths[:, None], -np.inf, 0.0)
+    return ag.soft_cross_entropy(ag.softmax(student_sims + pad, axis=1), targets)
 
 
 def soft_loss(student_sims: ag.Tensor, record: SoftLabelRecord) -> ag.Tensor:
     """Cross-entropy between the student's temperature-1 distribution over
-    the record's entries and the stored target weights."""
+    the record's entries and the stored target weights: one-row
+    :func:`batch_soft_loss`."""
     if student_sims.ndim != 1 or student_sims.shape[0] != len(record.weights):
         raise IntegrityError(
             f"student produced {student_sims.shape} sims for "
             f"{len(record.weights)} stored weights"
         )
-    student = ag.softmax_temp(student_sims, 1.0)
-    return ag.soft_cross_entropy(student, np.array(record.weights))
+    return batch_soft_loss(student_sims.reshape((1, -1)), [record])
 
 
 def total_loss(hard: ag.Tensor, soft: ag.Tensor, lam: float) -> ag.Tensor:

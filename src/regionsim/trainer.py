@@ -20,7 +20,6 @@ naive top-k ablation mines over the whole gallery. Every ranking reads one
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,11 +59,12 @@ from .regions import ALL_REGION_IDS, FULL_REGION, HALVES_ONLY_IDS
 from .seeding import derive_rng
 from .supervision import (
     SoftLabelRecord,
+    batch_hard_loss,
+    batch_soft_loss,
+    expected_entries,
     format_record,
-    hard_loss,
-    region_sims,
     region_soft_labels,
-    soft_loss,
+    score_matrix,
     total_loss,
     write_label_file,
 )
@@ -243,7 +243,7 @@ def compute_generation_targets(
     _, q_descs = encode_images(frozen_model, train_q, cfg.workers)
     g_pos = np.array([img.reported_x for img in train_g])
     sims = similarities(q_descs, g_descs)
-    tau = cfg.taus[omega - 2]
+    tau = cfg.schedule[omega - 2]
 
     positives: list[tuple[int, ...]] = []
     records: list[SoftLabelRecord] = []
@@ -277,71 +277,56 @@ def _batch_loss(
     cfg: RunConfig,
     omega: int,
 ) -> ag.Tensor:
-    """Mean loss over the batch, from one graph per encode chunk.
+    """Mean loss over the batch, from one score matrix.
 
-    The batch's distinct query images and its distinct gallery images, each
-    in first-use order (a tuple's positives, then its negatives), are
-    encoded and aggregated chunk by chunk (:func:`describe_chunks`). Every
-    listed positive is encoded, although without soft labels or the naive
-    top-k ablation a later generation's loss reads only the first. Queries
-    get their full-map descriptor; gallery images get this generation's
-    region matrix (the full map alone in generation 1), and negative
-    regions, when on, come from the same set: the row whose values score
-    highest against the query (``hardest_negative_region`` on the graph's
-    own rows, with no second aggregation). Tuples read their rows out of
-    these stacks, so an image used by several tuples is one row whose
-    gradient accumulates from every consumer. A tuple's soft-label record,
-    if any, lists exactly its positive rows in order.
+    The batch's queries, in tuple order, and its distinct gallery images, in
+    first-use order, are encoded chunk by chunk (:func:`describe_chunks`)
+    into a (T, K*D) query stack and a stack of gallery region rows, full map
+    first. One index matrix lists, per tuple, the rows of every region of
+    each positive, padded to the batch's most positives, then of its
+    negatives: the full map or, with negative regions, the region scoring
+    highest against the query (``hardest_negative_region``, a no-grad scan).
+    ``score_matrix`` scores them in one product; a row read by several
+    tuples gathers all their gradients. The hard loss weighs the positives'
+    full-map columns one-hot on the first or, in naive top-k, evenly; the
+    soft loss reads the region block. Each soft-label record lists the
+    regions of its tuple's positive rows in order, and a batch has one for
+    all tuples or for none.
     """
     region_ids = _label_region_ids(cfg) if omega >= 2 else (FULL_REGION,)
+    r, t = len(region_ids), len(batch)
+    records = [rec for *_, rec in batch if rec is not None]
 
-    def describe(split: list[GeoImage], rows: list[int], rids: tuple[int, ...]):
-        # Row r -> (its chunk's region rows, its index in the chunk).
-        done = describe_chunks(model, [split[r] for r in rows], rids)
-        return {rows[i]: (descs, j) for run, descs in done for j, i in enumerate(run)}
+    def stack(images: list[GeoImage], rids: tuple[int, ...]) -> ag.Tensor:
+        return ag.concat([rows for _, rows in describe_chunks(model, images, rids)])
 
-    queries = describe(train_q, list(dict.fromkeys(q for q, _, _, _ in batch)), (FULL_REGION,))
-    used = (row for _, pos_rows, negs, _ in batch for row in pos_rows + negs)
-    gallery = describe(train_g, list(dict.fromkeys(used)), region_ids)
+    queries = stack([train_q[qrow] for qrow, *_ in batch], (FULL_REGION,)).reshape((t, -1))
+    used = list(dict.fromkeys(row for _, pos_rows, negs, _ in batch for row in pos_rows + negs))
+    rows = stack([train_g[row] for row in used], region_ids).reshape((len(used) * r, -1))
+    first = {row: i * r for i, row in enumerate(used)}  # each image's full-map row
 
-    def regions(grow: int) -> ag.Tensor:
-        rows, j = gallery[grow]
-        return rows[j]
-
-    def gallery_desc(grow: int, rid: int = FULL_REGION) -> ag.Tensor:
-        rows, j = gallery[grow]
-        return rows[j, region_ids.index(rid)]
-
-    losses = []
-    for qrow, pos_rows, negs, rec in batch:
-        rows, j = queries[qrow]
-        q = rows[j, 0]
+    def neg_row(ti: int, nrow: int) -> int:
+        at = first[nrow]
         if omega >= 2 and cfg.use_neg_regions:
-            # Region choice is a no-grad argmax over the values of the
-            # graph's region rows; the chosen row then carries the gradients.
-            neg_descs = []
-            for nrow in negs:
-                nrows, nj = gallery[nrow]
-                rid, _ = hardest_negative_region(
-                    q.data, nrows.data[nj], model.vlad, region_ids=region_ids
-                )
-                neg_descs.append(gallery_desc(nrow, rid))
-        else:
-            neg_descs = [gallery_desc(nrow) for nrow in negs]
+            region = rows.data[at : at + r]
+            rid, _ = hardest_negative_region(queries.data[ti], region, model.vlad, region_ids)
+            at += region_ids.index(rid)
+        return at
 
-        if cfg.naive_topk and omega >= 2:
-            # Averaged over the top-k so the ablation trains at the same
-            # loss scale as the single-positive objective.
-            terms = [hard_loss(q, gallery_desc(prow), neg_descs) for prow in pos_rows]
-            tuple_loss = ag.scale(functools.reduce(ag.add, terms), 1.0 / len(pos_rows))
-        else:
-            tuple_loss = hard_loss(q, gallery_desc(pos_rows[0]), neg_descs)
-            if rec is not None:
-                sims = region_sims(q, [regions(prow) for prow in pos_rows])
-                tuple_loss = total_loss(tuple_loss, soft_loss(sims, rec), cfg.lam)
-        losses.append(tuple_loss)
-
-    return ag.scale(functools.reduce(ag.add, losses), 1.0 / len(losses))
+    p = max(len(pos_rows) for _, pos_rows, _, _ in batch)
+    index = np.zeros((t, p * r + len(batch[0][2])), dtype=np.intp)  # padding reads row 0
+    weights = np.zeros((t, p))
+    for ti, (_, pos_rows, negs, _) in enumerate(batch):
+        index[ti, : len(pos_rows) * r] = [first[row] + j for row in pos_rows for j in range(r)]
+        index[ti, p * r :] = [neg_row(ti, nrow) for nrow in negs]
+        # Naive top-k averages its positives: the one-positive loss scale.
+        n_pos = len(pos_rows) if cfg.naive_topk and omega >= 2 else 1
+        weights[ti, :n_pos] = 1.0 / n_pos
+    scores = score_matrix(queries, rows, index)
+    loss = batch_hard_loss(scores[:, : p * r : r], scores[:, p * r :], weights)
+    if records:
+        loss = total_loss(loss, batch_soft_loss(scores[:, : p * r], records), cfg.lam)
+    return ag.scale(loss, 1.0 / t)
 
 
 @dataclass
@@ -397,7 +382,8 @@ def train_generation(
     by_query = {rec.query_id: rec for rec in records}
     soft = {qrow: by_query[img.id] for qrow, img in enumerate(train_q) if img.id in by_query}
     for qrow, rec in soft.items():
-        if rec.positive_ids != tuple(train_g[r].id for r in targets.positives[qrow]):
+        ids = [train_g[r].id for r in targets.positives[qrow]]
+        if rec.entries != expected_entries(ids, _label_region_ids(cfg)):
             raise IntegrityError(f"labels of query {rec.query_id} do not list its positives")
 
     tuples_per_epoch = []

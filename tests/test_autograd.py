@@ -531,8 +531,8 @@ class TestGradients:
 
         def fn():
             t = ag.transpose(ag.reshape(x, (3, 8)))
-            rows = [ag.slice_view(t, (slice(None), i)) for i in range(3)]
-            stacked = ag.stack_rows(rows)
+            rows = [ag.slice_view(t, (None, slice(None), i)) for i in range(3)]
+            stacked = ag.concat(rows)
             return ag.tensor_sum(ag.mul(ag.transpose(stacked), ag.constant(wts)))
 
         assert ag.grad_check(fn, [x]) <= self.TOL
@@ -651,7 +651,7 @@ def _op_cases():
         ("reshape", lambda a: ag.reshape(a, (6, 2)), (rng.normal(size=(3, 4)),)),
         ("tensor_sum", ag.tensor_sum, (rng.normal(size=(3, 4)),)),
         ("tensor_sum_axis", lambda a: ag.tensor_sum(a, axis=0), (rng.normal(size=(3, 4)),)),
-        ("stack_rows", lambda *rows: ag.stack_rows(rows), tuple(rng.normal(size=(3, 5)))),
+        ("concat", lambda *parts: ag.concat(parts), tuple(rng.normal(size=(3, 1, 5)))),
         ("softplus", ag.softplus, (rng.normal(size=(5, 4)),)),
         ("dot", ag.dot, (rng.normal(size=6), rng.normal(size=6))),
         ("softmax", lambda a: ag.softmax(a, axis=0), (rng.normal(size=(5, 4)),)),
@@ -662,6 +662,7 @@ def _op_cases():
         ("conv2d_map", lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=0), conv_map),
         ("conv2d_relu", lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1, relu=True), conv),
         ("softmax_temp", lambda v: ag.softmax_temp(v, 0.5), (rng.normal(size=5),)),
+        ("take", lambda a: ag.take(a, [[2, 0], [2, 2]]), (rng.normal(size=(3, 4)),)),
     ]
 
 
@@ -708,9 +709,10 @@ class TestArrayInputs:
         self.check(ag.l2_normalize_smooth, x)
         self.check(ag.l2_normalize_smooth, x[0])
 
-    def test_stack_rows(self):
+    def test_concat(self):
         rng = np.random.default_rng(89)
-        self.check(lambda *rows: ag.stack_rows(rows), *rng.normal(size=(3, 5)))
+        self.check(lambda *parts: ag.concat(parts), *rng.normal(size=(3, 2, 5)))
+        self.check(lambda *parts: ag.concat(parts), rng.normal(size=4), rng.normal(size=2))
 
     def test_mixed_inputs_record_a_node(self):
         rng = np.random.default_rng(83)
@@ -766,6 +768,17 @@ class TestSliceKeys:
             return total
 
         assert ag.grad_check(fn, [x]) <= 1e-6
+
+
+class TestTake:
+    def test_a_row_taken_twice_gets_every_gradient(self):
+        x = ag.parameter(np.arange(6.0).reshape(3, 2))
+        index = np.array([[2, 0], [2, 2]])
+        out = ag.take(x, index)
+        assert np.array_equal(out.data, x.data[index])
+        (out * np.arange(8.0).reshape(2, 2, 2)).sum().backward()
+        # Row 2 is read at [0, 0], [1, 0] and [1, 1]; row 1 never.
+        np.testing.assert_array_equal(x.grad, [[2.0, 3.0], [0.0, 0.0], [10.0, 13.0]])
 
 
 class TestOperators:

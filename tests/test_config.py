@@ -19,19 +19,19 @@ class TestRunConfigCreate:
     def test_default_schedule_is_annealed(self):
         cfg = RunConfig.create()
         assert cfg.generations == 4
-        assert cfg.taus == (0.07, 0.06, 0.05)
+        assert cfg.schedule == (0.07, 0.06, 0.05)
 
     def test_const_tau_repeats_first_temperature(self):
         cfg = RunConfig.create(const_tau=True)
-        assert cfg.taus == (0.07, 0.07, 0.07)
+        assert cfg.schedule == (0.07, 0.07, 0.07)
 
     def test_single_generation_has_empty_schedule(self):
         cfg = RunConfig.create(generations=1)
-        assert cfg.taus == ()
+        assert cfg.schedule == ()
 
     def test_explicit_schedule_kept(self):
         cfg = RunConfig.create(generations=3, taus=(0.1, 0.02))
-        assert cfg.taus == (0.1, 0.02)
+        assert cfg.taus == cfg.schedule == (0.1, 0.02)
 
     def test_schedule_length_must_match(self):
         with pytest.raises(ConfigError):
@@ -84,9 +84,9 @@ class TestOneConstructionPath:
     the implications and the schedule, and all validate."""
 
     def test_constructor_resolves_the_schedule(self):
-        assert RunConfig().taus == (0.07, 0.06, 0.05)
-        assert RunConfig(generations=2).taus == (0.07,)
-        assert RunConfig(const_tau=True).taus == (0.07, 0.07, 0.07)
+        assert RunConfig().schedule == (0.07, 0.06, 0.05)
+        assert RunConfig(generations=2).schedule == (0.07,)
+        assert RunConfig(const_tau=True).schedule == (0.07, 0.07, 0.07)
         assert RunConfig() == RunConfig.create()
 
     def test_constructor_applies_the_implications(self):
@@ -101,9 +101,21 @@ class TestOneConstructionPath:
         assert not replace(RunConfig.create(), use_regions=False).use_neg_regions
 
     def test_replace_against_a_stale_schedule_is_rejected(self):
+        explicit = RunConfig(taus=(0.07, 0.06, 0.05))
         with pytest.raises(ConfigError, match="schedule needs 1 temperatures, got 3"):
-            replace(RunConfig.create(), generations=2)
-        assert replace(RunConfig.create(), generations=2, taus=()).taus == (0.07,)
+            replace(explicit, generations=2)
+        assert replace(explicit, generations=2, taus=()).schedule == (0.07,)
+
+    def test_replace_re_derives_a_default_schedule(self):
+        assert RunConfig().taus == ()
+        assert replace(RunConfig(), generations=2).schedule == (0.07,)
+        assert replace(RunConfig(const_tau=True), const_tau=False).schedule == (0.07, 0.06, 0.05)
+        assert replace(RunConfig(), const_tau=True).schedule == (0.07, 0.07, 0.07)
+        # The digest reads the resolved schedule, however it was given.
+        assert replace(RunConfig(), generations=2) == RunConfig(generations=2)
+        assert cfg_mod.config_digest(RunConfig(), "w") == cfg_mod.config_digest(
+            RunConfig(taus=(0.07, 0.06, 0.05)), "w"
+        )
 
     def test_constructor_and_replace_validate(self):
         with pytest.raises(ConfigError):

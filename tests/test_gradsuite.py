@@ -11,6 +11,9 @@ REQUIRED = {
     "vlad_regions",
     "vlad_regions_stack",
     "batched_matmul",
+    "take",
+    "concat",
+    "batch_soft_loss",
     "softmax_temp",
     "soft_cross_entropy",
     "hard_loss",
@@ -32,7 +35,7 @@ class TestSuite:
         rng = np.random.default_rng(11)
         checks = dict(gradsuite.ALL_CHECKS)
         for seed in rng.integers(0, 10_000, size=4):
-            for name in ("softmax_temp", "soft_cross_entropy", "hard_loss"):
+            for name in ("softmax_temp", "soft_cross_entropy", "hard_loss", "batch_soft_loss"):
                 assert checks[name](int(seed)) <= gradsuite.PASS_THRESHOLD
 
     def test_encoder_stack_passes_where_a_first_draw_meets_a_kink(self):

@@ -357,6 +357,76 @@ class TestSoftLoss:
             sup.soft_loss(ag.constant(np.zeros(3)), rec)
 
 
+class TestBatchedForms:
+    """The score matrix and the batched losses against per-entry and
+    per-tuple forms, with padded positives and padded soft columns."""
+
+    def records(self, rng, widths):
+        out = []
+        for width in widths:
+            weights = rng.dirichlet(np.ones(width))
+            out.append(sup.SoftLabelRecord(0, 1, 0.07, tuple((i, 0) for i in range(width)),
+                                           tuple(weights)))
+        return out
+
+    def test_score_matrix_reads_its_index(self):
+        rng = np.random.default_rng(216)
+        rows, queries = rng.normal(size=(6, 8)), rng.normal(size=(2, 8))
+        index = np.array([[0, 5, 5], [3, 1, 0]])
+        got = sup.score_matrix(ag.constant(queries), ag.constant(rows), index)
+        want = [[rows[i] @ queries[t] for i in row] for t, row in enumerate(index)]
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
+        assert np.array_equal(sup.score_matrix(queries, rows, index), got.data)
+
+    def test_region_sims_are_the_per_matrix_products(self):
+        # The teacher's label bits: each positive's R scores are one product
+        # against its own region matrix, whatever the other positives.
+        rng = np.random.default_rng(217)
+        q = rng.normal(size=24)
+        for p, r in ((1, 9), (3, 9), (7, 5), (4, 1)):
+            mats = [rng.normal(size=(r, 24)) for _ in range(p)]
+            want = np.concatenate([m @ q for m in mats])
+            assert np.array_equal(sup.region_sims(q, mats), want)
+
+    def test_padded_soft_rows_equal_one_row_losses(self):
+        rng = np.random.default_rng(218)
+        widths = (6, 4, 2)
+        sims = ag.parameter(rng.normal(size=(3, 6)))
+        records = self.records(rng, widths)
+        out = sup.batch_soft_loss(sims, records)
+        want = sum(
+            sup.soft_loss(ag.constant(row[:w]), rec).item()
+            for row, w, rec in zip(sims.data, widths, records)
+        )
+        assert abs(out.item() - want) <= 1e-12
+        out.backward()
+        for row, grad, w, rec in zip(sims.data, sims.grad, widths, records):
+            e = np.exp(row[:w] - row[:w].max())
+            np.testing.assert_allclose(grad[:w], e / e.sum() - rec.weights, atol=1e-12)
+            assert np.all(grad[w:] == 0.0)
+
+    def test_records_must_fit_the_rows(self):
+        records = self.records(np.random.default_rng(219), (3, 2))
+        for shape in ((2, 2), (3, 3), (1, 3)):
+            with pytest.raises(IntegrityError, match="do not fit"):
+                sup.batch_soft_loss(ag.constant(np.zeros(shape)), records)
+
+    def test_weighted_hard_loss_equals_per_positive_sums(self):
+        rng = np.random.default_rng(220)
+        pos = ag.parameter(rng.normal(size=(2, 3)))
+        neg = ag.parameter(rng.normal(size=(2, 4)))
+        # Tuple 0 has three positives averaged; tuple 1 one, padded to three.
+        weights = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]])
+        out = sup.batch_hard_loss(pos, neg, weights)
+        want = sum(
+            w * naive_pairwise_softmax_loss(float(pos.data[t, p]), neg.data[t].tolist())
+            for (t, p), w in np.ndenumerate(weights)
+        )
+        assert abs(out.item() - want) <= 1e-12
+        out.backward()
+        assert np.all(pos.grad[1, 1:] == 0.0) and np.all(pos.grad[0] != 0.0)
+
+
 class TestTotalLoss:
     def test_zero_lambda_is_hard_only(self):
         h, s = ag.constant(3.25), ag.constant(99.0)

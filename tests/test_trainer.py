@@ -258,7 +258,19 @@ BATCH_CONFIGS = [
     (2, {}),
     (2, {"use_regions": False}),
     (2, {"naive_topk": True}),
+    (2, {"batch_tuples": 8}),
 ]
+
+
+def graph_nodes(*roots) -> set[int]:
+    """Ids of the nodes reachable from ``roots`` through ``_parents``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return seen
 
 
 class TestBatchLoss:
@@ -271,11 +283,17 @@ class TestBatchLoss:
         prev = small_run[0].generations[0].checkpoint if omega >= 2 else None
         return first_batch_args(monkeypatch, small_ds, cfg, omega, prev)
 
-    @pytest.mark.parametrize("omega,kw", BATCH_CONFIGS, ids=["gen1", "full", "no_regions", "naive"])
+    @pytest.mark.parametrize(
+        "omega,kw", BATCH_CONFIGS, ids=["gen1", "full", "no_regions", "naive", "padded"]
+    )
     def test_matches_per_image_graphs(self, monkeypatch, small_ds, small_run, omega, kw):
         args = self.args(monkeypatch, small_ds, small_run, omega, kw)
         model, batch, cfg = args[0], args[1], args[4]
         assert len(batch) == cfg.batch_tuples
+        if cfg.batch_tuples == 8:
+            # Tuples of 1 and 3 positives are padded to the batch's 5.
+            counts = {len(pos_rows) for _, pos_rows, _, _ in batch}
+            assert min(counts) == 1 and 3 in counts and max(counts) == cfg.k_positives
         region_ids = trainer._label_region_ids(cfg) if omega >= 2 else (0,)
         got, got_grads = loss_and_grads(model, lambda: trainer._batch_loss(*args))
         want, want_grads = loss_and_grads(
@@ -284,6 +302,25 @@ class TestBatchLoss:
         assert abs(got - want) <= 1e-12
         for name, g, w in zip(ck.PARAM_NAMES, got_grads, want_grads):
             assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+    def test_loss_nodes_do_not_grow_with_the_batch(self, monkeypatch, small_ds, small_run):
+        """The nodes the loss records beside those of its encode chunks."""
+        own = []
+        for batch_tuples in (2, 4):
+            args = self.args(monkeypatch, small_ds, small_run, 2, {"batch_tuples": batch_tuples})
+            chunk_rows, real = [], trainer.describe_chunks
+
+            def recording(*a, **kw):
+                for run, rows in real(*a, **kw):
+                    chunk_rows.append(rows)
+                    yield run, rows
+
+            with monkeypatch.context() as patched:
+                patched.setattr(trainer, "describe_chunks", recording)
+                loss = trainer._batch_loss(*args)
+            assert len(chunk_rows) >= 3
+            own.append(len(graph_nodes(loss) - graph_nodes(*chunk_rows)))
+        assert own[0] == own[1] <= 30, own
 
     def test_three_conv_nodes_per_encode_chunk(self, monkeypatch, small_ds, small_run):
         args = self.args(monkeypatch, small_ds, small_run, 2, {})
@@ -387,7 +424,7 @@ class TestGenerationTargets:
             heads = rec.entries[::entries_per_row]
             assert [gid for gid, _ in heads] == [gallery[r].id for r in rows]
             assert len(rec.entries) == entries_per_row * len(rows)
-            assert rec.tau == cfg.taus[0]
+            assert rec.tau == cfg.schedule[0]
             assert rec.generation == 1
         return t
 
@@ -410,7 +447,7 @@ class TestGenerationTargets:
             fms = [enc.encode(arrays.encoder, gallery[r].pixels) for r in rows]
             q_desc = aggregate(arrays.vlad, enc.encode(arrays.encoder, q.pixels))
             want = per_positive_soft_labels(
-                q_desc, [gallery[r].id for r in rows], fms, model.vlad, cfg.taus[0], 1,
+                q_desc, [gallery[r].id for r in rows], fms, model.vlad, cfg.schedule[0], 1,
                 query_id=q.id, region_ids=trainer._label_region_ids(cfg),
             )
             assert rec == want
@@ -493,9 +530,9 @@ class TestTrainGeneration:
         assert res.stats["tuples_per_epoch"] == [len(ds.split("train-query")) - 1]
 
     def test_non_finite_loss_stops_before_the_step(self, small_ds, small_cfg, monkeypatch):
-        real = trainer.hard_loss
+        real = trainer.batch_hard_loss
         monkeypatch.setattr(
-            trainer, "hard_loss", lambda *args: ag.scale(real(*args), float("nan"))
+            trainer, "batch_hard_loss", lambda *args: ag.scale(real(*args), float("nan"))
         )
         stepped = []
         monkeypatch.setattr(trainer, "sgd_step", lambda *args: stepped.append(1))
@@ -540,16 +577,26 @@ class TestTrainGeneration:
         res = trainer.train_generation(1, None, ds, RunConfig.create(seed=93, epochs=1))
         assert res.checkpoint.generation == 1
 
+    @pytest.mark.parametrize(
+        "rows,entries",
+        [
+            (lambda rows: rows[::-1], lambda entries: entries),
+            # The positives in order, but every entry relabeled as a full map.
+            (lambda rows: rows, lambda entries: tuple((gid, 0) for gid, _ in entries)),
+        ],
+        ids=["reversed_positives", "wrong_regions"],
+    )
     def test_labels_must_list_the_tuple_positives(
-        self, small_ds, small_cfg, small_run, monkeypatch
+        self, small_ds, small_cfg, small_run, monkeypatch, rows, entries
     ):
         real = trainer.compute_generation_targets
 
-        def reversed_positives(*args):
+        def altered(*args):
             t = real(*args)
-            return trainer.GenerationTargets([rows[::-1] for rows in t.positives], t.records)
+            records = [replace(rec, entries=entries(rec.entries)) for rec in t.records]
+            return trainer.GenerationTargets([rows(r) for r in t.positives], records)
 
-        monkeypatch.setattr(trainer, "compute_generation_targets", reversed_positives)
+        monkeypatch.setattr(trainer, "compute_generation_targets", altered)
         with pytest.raises(IntegrityError, match="do not list its positives"):
             trainer.train_generation(2, small_run[0].generations[0].checkpoint, small_ds, small_cfg)
 
