@@ -28,10 +28,24 @@ Tensors and runs on numpy alone on arrays. ``slice_view`` is the one
 exception: its backward adds into the sliced range of the input's
 gradient in place, where a VJP would build a full-size zero array for
 every slice.
+
+Freed buffers stay in the process heap. A generation-2 training step
+allocates and frees about 15 MB of graph buffers every batch, the same
+sizes each time. By default glibc maps large blocks on their own and
+trims the heap's free top, with thresholds that start at 128 KiB and
+adapt as it goes, so each batch faults many pages of the last one's
+buffers in again. At import the module raises glibc's
+``M_MMAP_THRESHOLD`` to :data:`MMAP_THRESHOLD`, so buffers below it come
+from the heap rather than from a mapping of their own, and
+``M_TRIM_THRESHOLD`` to :data:`TRIM_THRESHOLD`, so free() keeps up to
+that much free heap for the next batch. This acts on the whole process
+and changes no number: no result depends on where a buffer sits. Where
+``mallopt`` does not exist or refuses a value, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from typing import Callable, Iterable, Sequence
 
@@ -44,6 +58,34 @@ from .errors import (
 LOG_FLOOR = 1e-30
 NORM_FLOOR = 1e-12
 SMOOTH_EPS = 1e-3
+
+# glibc's mallopt parameter numbers (malloc.h).
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# The largest mmap threshold glibc accepts on 64-bit (HEAP_MAX_SIZE / 2); a
+# generation-2 batch's largest buffers are a few MB.
+MMAP_THRESHOLD = 32 * 1024 * 1024
+# Free heap kept before free() trims: well above a batch's graph (about
+# 15 MB), so a step's freed buffers stay for the next step.
+TRIM_THRESHOLD = 256 * 1024 * 1024
+
+
+def _retain_freed_heap():
+    """Set glibc's mmap and trim thresholds (see the module docstring).
+    Returns both ``mallopt`` results (1 where a value was taken), or None
+    where the C library has no ``mallopt``; never raises."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD),
+    )
+
+
+_retain_freed_heap()
 
 
 class Tensor:
@@ -86,9 +128,19 @@ class Tensor:
             self.grad.fill(0.0)
 
     def _accumulate(self, g):
+        """Add ``g`` to this node's gradient. The first one is stored as one
+        owned float64 copy, in the node's own memory layout as a zeros
+        buffer would be, since a VJP may hand one buffer to several inputs
+        or return a read-only broadcast view; later ones add into it in
+        place. ``g`` must have exactly the node's shape: a copy would keep
+        a wrong shape that adding into zeros would have broadcast."""
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a node of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-mode gradient accumulation from a scalar output.

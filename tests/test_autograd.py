@@ -1,6 +1,8 @@
 """Tensor-core tests: frozen numeric examples, properties, and gradient checks."""
 
+import platform
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -779,6 +781,64 @@ class TestTake:
         (out * np.arange(8.0).reshape(2, 2, 2)).sum().backward()
         # Row 2 is read at [0, 0], [1, 0] and [1, 1]; row 1 never.
         np.testing.assert_array_equal(x.grad, [[2.0, 3.0], [0.0, 0.0], [10.0, 13.0]])
+
+
+class TestAccumulate:
+    """A node's first gradient is stored as its own full, writeable copy;
+    later ones add into it; a gradient of another shape is refused."""
+
+    def test_inputs_handed_one_buffer_get_their_own(self):
+        # add's VJPs return the output gradient itself to both inputs.
+        a = ag.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = ag.Tensor(np.ones((2, 3)), requires_grad=True)
+        readout = np.arange(6.0).reshape(2, 3) - 2.0
+        (ag.add(a, b) * readout).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        np.testing.assert_array_equal(a.grad, readout)
+        np.testing.assert_array_equal(b.grad, readout)
+
+    def test_views_are_stored_as_full_copies(self):
+        x = ag.Tensor(np.ones((3, 4)), requires_grad=True)
+        x.sum().backward()  # the VJP is a read-only broadcast view
+        parts = [ag.Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2)]
+        readout = np.arange(12.0).reshape(4, 3)
+        (ag.concat(parts) * readout).sum().backward()  # row views of one gradient
+        for t, want in ((x, np.ones((3, 4))), (parts[0], readout[:2]), (parts[1], readout[2:])):
+            assert t.grad.flags.owndata and t.grad.flags.writeable
+            np.testing.assert_array_equal(t.grad, want)
+
+    def test_a_node_on_two_paths_gets_both_gradients(self):
+        x = ag.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = ag.scale(x, 2.0)
+        ag.add(ag.scale(y, 3.0), ag.scale(y, -0.5)).sum().backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 5.0, 5.0])
+
+    def test_a_gradient_that_only_broadcasts_is_refused(self):
+        for x in (ag.Tensor(np.ones(3), requires_grad=True), ag.parameter(np.ones(3))):
+            out = ag._record(x.data.sum(), (x,), lambda g: np.reshape(g, (1,)))
+            with pytest.raises(ShapeError, match=r"shape \(1,\) for a node of shape \(3,\)"):
+                out.backward()
+
+
+class TestHeapRetention:
+    """The heap thresholds are set through glibc's ``mallopt`` where it
+    exists, and silently left alone where it is missing or refuses."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt thresholds")
+    def test_glibc_takes_both_thresholds(self):
+        assert ag._retain_freed_heap() == (1, 1)
+
+    def test_no_mallopt_is_ignored(self, monkeypatch):
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert ag._retain_freed_heap() is None
+
+    def test_a_refused_value_is_ignored(self, monkeypatch):
+        def mallopt(param, value):
+            return 0
+
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert ag._retain_freed_heap() == (0, 0)
 
 
 class TestOperators:
